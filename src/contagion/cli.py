@@ -21,10 +21,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Optional, Sequence
@@ -181,26 +181,16 @@ def cmd_ingest(cfg: RunConfig) -> None:
     with open(cfg.input, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
 
-    if cfg.shards == 1:
-        store = tally.ingest_tally(lines, labeler, source=cfg.input)
-    else:
-        # contiguous line ranges; tallies merge in shard order (the merge
-        # is commutative, the fixed order just keeps runs reproducible)
-        bounds = [
-            (len(lines) * k // cfg.shards, len(lines) * (k + 1) // cfg.shards)
-            for k in range(cfg.shards)
-        ]
-        with ThreadPoolExecutor(max_workers=cfg.shards) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: tally.ingest_tally(
-                        lines[se[0] : se[1]], labeler, source=cfg.input
-                    ),
-                    bounds,
-                )
-            )
-        store = reduce(tally.merge, parts)
-        store.source = cfg.input
+    # contiguous line ranges, tallied one after another and merged in shard
+    # order; merge is a commutative monoid, so every K gives the single pass
+    bounds = [
+        (len(lines) * k // cfg.shards, len(lines) * (k + 1) // cfg.shards)
+        for k in range(cfg.shards)
+    ]
+    store = reduce(
+        tally.merge,
+        (tally.ingest_tally(lines[lo:hi], labeler, source=cfg.input) for lo, hi in bounds),
+    )
 
     buf = io.StringIO()
     tally.save_csv(store, buf)
@@ -303,9 +293,12 @@ def _read_glm_rows(path: str) -> List[tuple]:
             if len(row) != 4:
                 raise CliError("line %d: expected 4 fields" % lineno)
             try:
-                rows.append((int(row[0]), row[1], float(row[2]), float(row[3])))
+                year, log10_n, ratio = int(row[0]), float(row[2]), float(row[3])
             except ValueError:
                 raise CliError("line %d: bad numeric field" % lineno) from None
+            if not (math.isfinite(log10_n) and math.isfinite(ratio)):
+                raise CliError("line %d: non-finite numeric field" % lineno)
+            rows.append((year, row[1], log10_n, ratio))
     return rows
 
 
@@ -391,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="label source (default: builtin)",
     )
     p.add_argument("--model", dest="model_path", help="classifier model file (default: bundled)")
-    p.add_argument("--shards", type=int, default=1, help="parallel line-range shards (default: 1)")
+    p.add_argument("--shards", type=int, default=1, help="line-range shards tallied in turn and merged (default: 1)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("metric", help="bucketed metric series from a tally CSV")

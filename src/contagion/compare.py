@@ -140,7 +140,7 @@ def mismatch_by_length(
     return LengthHistogram(max_chars, tuple(bins))
 
 
-def _mean_daily_ratio(cells: Dict[Tuple[dt.date, str], Tuple[int, int]], lang: str) -> Optional[float]:
+def _mean_daily_ratio(cells: Dict[Tuple[dt.date, str], Sequence[int]], lang: str) -> Optional[float]:
     values = []
     for (_, cell_lang), (f_ot, f_rt) in cells.items():
         if cell_lang == lang and f_ot > 0:
@@ -183,12 +183,8 @@ def agreement_report(
 
     margins = {}
     for lang in matrix.labels:
-        r_all = _mean_daily_ratio(
-            {k: (v[0], v[1]) for k, v in all_cells.items()}, lang
-        )
-        r_agree = _mean_daily_ratio(
-            {k: (v[0], v[1]) for k, v in agree_cells.items()}, lang
-        )
+        r_all = _mean_daily_ratio(all_cells, lang)
+        r_agree = _mean_daily_ratio(agree_cells, lang)
         delta = margin_of_error(r_all, r_agree)
         if delta is not None:
             margins[lang] = delta

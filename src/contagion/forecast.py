@@ -32,8 +32,8 @@ each term is auditable against the model statement above.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,6 +192,12 @@ class YearObservations:
     year: int
     points: Tuple[Tuple[float, float], ...]  # (log10_n, ratio), ratio in (0, 1)
 
+    @cached_property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(x, r) arrays of the points, built once for every likelihood call."""
+        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        return pts[:, 0], pts[:, 1]
+
 
 def year_observations(
     year: int, points: Iterable[Tuple[float, float]]
@@ -235,8 +241,7 @@ def log_prior(z: GlmState) -> float:
 def log_likelihood(z: GlmState, obs: YearObservations) -> float:
     if not obs.points:
         return 0.0
-    pts = np.asarray(obs.points)
-    x, r = pts[:, 0], pts[:, 1]
+    x, r = obs.columns
     omega = z.tau ** -0.5
     volume_term = skewnorm_logpdf(x, z.mu, omega, z.alpha)
     glm_term = laplace_logpdf(r, z.beta0 + z.beta1 * x, z.b)
@@ -371,21 +376,11 @@ def _run_chains(
     rngs: Sequence[np.random.Generator],
     config: SamplerConfig,
 ) -> Tuple[np.ndarray, Tuple[float, ...]]:
-    """Run chains concurrently, merge deterministically by chain index."""
-    with ThreadPoolExecutor(max_workers=len(starts)) as pool:
-        futures = [
-            pool.submit(
-                _run_chain,
-                log_target,
-                starts[c],
-                rngs[c],
-                config.warmup,
-                config.draws,
-                config.target_accept,
-            )
-            for c in range(len(starts))
-        ]
-        results = [f.result() for f in futures]
+    """Run the chains one after another; draws concatenate in chain order."""
+    results = [
+        _run_chain(log_target, x0, rng, config.warmup, config.draws, config.target_accept)
+        for x0, rng in zip(starts, rngs)
+    ]
     samples = np.concatenate([r[0] for r in results], axis=0)
     rates = tuple(r[1] for r in results)
     return samples, rates
@@ -406,23 +401,13 @@ def sample_posterior(obs: YearObservations, config: SamplerConfig) -> PosteriorS
     transforms keep proposals inside the support and add the usual
     + log tau + log b Jacobian term to the target.
     """
-    pts = np.asarray(obs.points) if obs.points else np.empty((0, 2))
-    x_obs, r_obs = pts[:, 0] if len(pts) else pts.reshape(0), pts[:, 1] if len(pts) else pts.reshape(0)
 
     def log_target(w: np.ndarray) -> float:
         mu, log_tau, alpha, beta0, beta1, log_b = w
         if abs(log_tau) > 500 or abs(log_b) > 500:
             return -math.inf
-        tau, bscale = math.exp(log_tau), math.exp(log_b)
-        z = GlmState(mu, tau, alpha, beta0, beta1, bscale)
-        lp = log_prior(z)
-        if lp == -math.inf:
-            return lp
-        if len(x_obs):
-            omega = tau ** -0.5
-            lp += float(np.sum(skewnorm_logpdf(x_obs, mu, omega, alpha)))
-            lp += float(np.sum(laplace_logpdf(r_obs, beta0 + beta1 * x_obs, bscale)))
-        return lp + log_tau + log_b
+        z = GlmState(mu, math.exp(log_tau), alpha, beta0, beta1, math.exp(log_b))
+        return log_posterior(z, obs) + log_tau + log_b
 
     base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
     rngs = [_chain_rng(config.seed, obs.year, c) for c in range(config.chains)]

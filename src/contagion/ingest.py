@@ -1,16 +1,17 @@
 """NDJSON message ingestion.
 
-One JSON object per line with fields ``id`` (string), ``ts`` (unix seconds),
-``kind`` (tweet|reply|retweet|quote), ``text``, plus optional ``quoted_text``
-(required for quotes), ``lang`` and ``lang_conf``. Malformed lines never
-abort a run: they are counted and skipped, so that every input line is
-either parsed into exactly one record or recorded in an error counter.
+One JSON object per line with fields ``id`` (string), ``ts`` (unix seconds,
+on a UTC day in years 1-9999), ``kind`` (tweet|reply|retweet|quote),
+``text``, plus optional ``quoted_text`` (required for quotes), ``lang`` and
+``lang_conf``. Malformed lines never abort a run: they are counted and
+skipped, so that every input line is either parsed into exactly one record
+or recorded in an error counter.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, Optional
 
 KINDS = ("tweet", "reply", "retweet", "quote")
@@ -27,6 +28,11 @@ _ERROR_KEYS = (
     "unknown_kind",
     "missing_quoted_text",
 )
+
+# unix seconds whose UTC day is a datetime.date (0001-01-01 .. 9999-12-31)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_TS_MIN = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
+_TS_MAX = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
 
 
 @dataclass
@@ -82,10 +88,10 @@ class CategorizedMessage:
 def _coerce_ts(value) -> Optional[int]:
     if isinstance(value, bool):
         return None
-    if isinstance(value, int):
-        return value
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
+    if isinstance(value, int) and _TS_MIN <= value <= _TS_MAX:
+        return value
     return None
 
 

@@ -8,8 +8,12 @@ serialization (column order, float repr, trailing newline).
 import csv
 import json
 import math
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from contagion import cli, forecast, lid
 
@@ -82,6 +86,57 @@ def test_sharded_ingest_matches_single_pass(tmp_path):
     assert run("ingest", "--in", MINI, "--out", str(single)) == 0
     assert run("ingest", "--in", MINI, "--shards", "3", "--out", str(sharded)) == 0
     assert single.read_bytes() == sharded.read_bytes()
+
+
+_RECORD = hs.fixed_dictionaries({
+    "id": hs.sampled_from(["a", "b", "c"]),
+    "ts": hs.integers(1559347200, 1559347200 + 3 * 86400),
+    "kind": hs.sampled_from(["tweet", "reply", "retweet", "quote"]),
+    "text": hs.sampled_from(["x", "y z"]),
+    "quoted_text": hs.sampled_from(["q", "r s"]),
+    "lang": hs.sampled_from(["en", "fi", "es"]),
+})
+_MALFORMED = hs.sampled_from([
+    b"", b"   ", b"{not json", b"\xff\xfe{}", b"[1, 2]",
+    b'{"id":"m","ts":1,"kind":"boost","text":"x"}',
+    b'{"id":"m","ts":1,"kind":"quote","text":"x"}',
+    b'{"id":"m","ts":1e20,"kind":"tweet","text":"x"}',
+])
+_LINE = hs.one_of(_RECORD.map(lambda r: json.dumps(r).encode()), _MALFORMED)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=hs.lists(_LINE, max_size=10), trailing_newline=hs.booleans())
+def test_sharded_ingest_any_k_matches_single_pass(lines, trailing_newline):
+    # K past the line count leaves some shards empty
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pathlib.Path(tmp) / "stream.ndjson"
+        src.write_bytes(b"\n".join(lines) + (b"\n" if trailing_newline else b""))
+        outputs = set()
+        for k in range(1, len(lines) + 3):
+            out = pathlib.Path(tmp) / ("k%d.csv" % k)
+            assert run("ingest", "--in", str(src), "--lid", "external",
+                       "--shards", str(k), "--out", str(out)) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+
+def test_ingest_out_of_range_ts_counted_not_fatal(tmp_path):
+    good = [
+        json.dumps({"id": "1", "ts": 1559347200, "kind": "tweet", "text": "x", "lang": "en"}),
+        json.dumps({"id": "2", "ts": 1559433600, "kind": "retweet", "text": "y", "lang": "fi"}),
+    ]
+    bad = [
+        '{"id":"3","ts":1e20,"kind":"tweet","text":"x","lang":"en"}',
+        '{"id":"4","ts":-99999999999999,"kind":"tweet","text":"x","lang":"en"}',
+    ]
+    clean = tmp_path / "clean.ndjson"
+    mixed = tmp_path / "mixed.ndjson"
+    clean.write_text("\n".join(good) + "\n")
+    mixed.write_text("\n".join([bad[0], good[0], bad[1], good[1]]) + "\n")
+    expected = run_read(tmp_path, "ingest", "--in", str(clean), "--lid", "external")
+    assert expected.count("\n") == 3  # header + both good records
+    assert run_read(tmp_path, "ingest", "--in", str(mixed), "--lid", "external") == expected
 
 
 def test_lid_both_prefers_external_then_builtin(tmp_path):
@@ -241,6 +296,16 @@ def test_exit_code_bad_glm_header(tmp_path, capsys):
     bad.write_text("year,lang,n,ratio\n2019,en,5.0,0.5\n")
     assert run("forecast", "--in", str(bad), "--out", str(tmp_path / "f.json")) == 1
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields", ["nan,0.5", "inf,0.5", "-inf,0.5", "5.0,nan", "5.0,inf", "5.0,-inf"]
+)
+def test_exit_code_non_finite_glm_field(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("year,language,log10_n,ratio\n2019,en,5.0,0.5\n2020,en,%s\n" % fields)
+    assert run("forecast", "--in", str(bad), "--out", str(tmp_path / "f.json")) == 1
+    assert "line 3: non-finite" in capsys.readouterr().err
 
 
 def test_exit_code_unknown_subcommand(capsys):

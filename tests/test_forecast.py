@@ -287,6 +287,13 @@ def test_sample_posterior_prior_dominance():
     assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
 
 
+def test_sample_posterior_without_points_samples_prior():
+    obs = YearObservations(2019, ())
+    cfg = SamplerConfig(seed=5, chains=2, warmup=1000, draws=1000)
+    out = forecast.sample_posterior(obs, cfg)
+    assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
+
+
 def test_sample_posterior_synthetic_recovery():
     # known-parameter oracle: beta1 recovered within 3 posterior sd.
     # Points are deliberately NOT filtered to (0,1): with beta0=-1 most of

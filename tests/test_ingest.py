@@ -75,6 +75,18 @@ def test_ts_coercion():
     assert stats.errors["bad_record"] == 2
 
 
+def test_ts_outside_calendar_is_bad_record():
+    # a UTC day exists for 0001-01-01 .. 9999-12-31 only; beyond it the
+    # record is counted and skipped instead of raising from day()
+    line = '{"id":"%s","ts":%s,"kind":"tweet","text":"x"}'
+    stamps = ("1e20", "-99999999999999", "253402300800", "-62135596801",
+              "253402300799", "-62135596800")
+    records, stats = _parse([line % (i, ts) for i, ts in enumerate(stamps)])
+    assert [r.day() for r in records] == [dt.date(9999, 12, 31), dt.date(1, 1, 1)]
+    assert stats.errors["bad_record"] == 4
+    assert stats.parsed == 2 and stats.error_total == 4
+
+
 def test_unrecognized_fields_ignored():
     line = '{"id":"1","ts":1,"kind":"tweet","text":"x","mystery":9,"quoted_text":"noise"}'
     records, stats = _parse([line])

@@ -100,11 +100,9 @@ def main() -> None:
 
     print("\n%-6s %8s %8s %8s %8s %10s" % ("lang", "f_ot", "f_rt", "ratio", "gain_db", "appetite"))
     for lang in sorted(whole.languages()):
-        f_ot, f_rt = 0, 0
-        for (day, lg), (ot, rt) in whole.entries.items():
-            if lg == lang:
-                f_ot += ot
-                f_rt += rt
+        cells = whole.daily_counts(lang)
+        f_ot = sum(c.f_ot for c in cells)
+        f_rt = sum(c.f_rt for c in cells)
         ratio = metrics.contagion_ratio(f_ot, f_rt)
         gain = metrics.gain(f_ot, f_rt)
         appetite = RETWEET_APPETITE.get(lang)

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .ingest import OT
+from .metrics import daily_series
+from .tally import TallyStore
 
 DEFAULT_MAX_CHARS = 600
 
@@ -140,11 +141,8 @@ def mismatch_by_length(
     return LengthHistogram(max_chars, tuple(bins))
 
 
-def _mean_daily_ratio(cells: Dict[Tuple[dt.date, str], Sequence[int]], lang: str) -> Optional[float]:
-    values = []
-    for (_, cell_lang), (f_ot, f_rt) in cells.items():
-        if cell_lang == lang and f_ot > 0:
-            values.append(f_rt / f_ot)
+def _mean_daily_ratio(store: TallyStore, lang: str) -> Optional[float]:
+    values = [r for _, r in daily_series(store, lang) if r is not None]
     if not values:
         return None
     return math.fsum(values) / len(values)
@@ -169,22 +167,18 @@ def agreement_report(
         if total > 0:
             div[lang] = divergence(by_a.get(lang, 0.0), by_b.get(lang, 0.0))
 
-    # Daily (f_ot, f_rt) cells under source A labels, full stream and
-    # agreement subset, for the per-language ratio margin.
-    all_cells: Dict[Tuple[dt.date, str], list] = {}
-    agree_cells: Dict[Tuple[dt.date, str], list] = {}
+    # Daily tallies under source A labels, full stream and agreement
+    # subset, for the per-language ratio margin.
+    all_store, agree_store = TallyStore(), TallyStore()
     for p in pairs:
-        slot = 0 if p.category == OT else 1
-        cell = all_cells.setdefault((p.day, p.label_a), [0, 0])
-        cell[slot] += 1
+        all_store.add(p.day, p.label_a, p.category)
         if p.label_a == p.label_b:
-            cell = agree_cells.setdefault((p.day, p.label_a), [0, 0])
-            cell[slot] += 1
+            agree_store.add(p.day, p.label_a, p.category)
 
     margins = {}
     for lang in matrix.labels:
-        r_all = _mean_daily_ratio(all_cells, lang)
-        r_agree = _mean_daily_ratio(agree_cells, lang)
+        r_all = _mean_daily_ratio(all_store, lang)
+        r_agree = _mean_daily_ratio(agree_store, lang)
         delta = margin_of_error(r_all, r_agree)
         if delta is not None:
             margins[lang] = delta

@@ -202,11 +202,11 @@ class YearObservations:
 def year_observations(
     year: int, points: Iterable[Tuple[float, float]]
 ) -> YearObservations:
-    """Build YearObservations, keeping only points with ratio in (0, 1)."""
-    kept = tuple(
-        (float(x), float(r)) for x, r in points if 0.0 < float(r) < 1.0
-    )
-    return YearObservations(int(year), kept)
+    """Build YearObservations from points with ratio in (0, 1); non-finite log10_n raises."""
+    pairs = [(float(x), float(r)) for x, r in points]
+    if not all(math.isfinite(x) for x, _ in pairs):
+        raise ValueError("year %d: non-finite log10_n" % int(year))
+    return YearObservations(int(year), tuple((x, r) for x, r in pairs if 0.0 < r < 1.0))
 
 
 def observations_from_rows(

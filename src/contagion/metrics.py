@@ -28,7 +28,6 @@ from .tally import (
     RESOLUTIONS,
     BucketedSeries,
     TallyStore,
-    bucket_start,
     rebucket,
 )
 
@@ -168,12 +167,10 @@ def rank_table(
     """Rank languages by total message volume inside [start, end] inclusive."""
     start, end = period
     totals: dict[str, int] = {}
-    for (date, lang), (f_ot, f_rt) in store.entries.items():
-        if start is not None and date < start:
-            continue
-        if end is not None and date > end:
-            continue
-        totals[lang] = totals.get(lang, 0) + f_ot + f_rt
+    for lang in store.languages():
+        for cell in store.daily_counts(lang):
+            if (start is None or cell.date >= start) and (end is None or cell.date <= end):
+                totals[lang] = totals.get(lang, 0) + cell.f_at
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = tuple(
         RankRow(rank, lang, count) for rank, (lang, count) in enumerate(ordered, 1)
@@ -216,15 +213,12 @@ def annual_glm_table(
     """
     rows = []
     for lang in store.languages():
-        cells = store.daily_counts(lang)
         series = aggregate_metric(store, lang, "year", "ratio", method)
-        totals: dict[dt.date, int] = {}
-        for cell in cells:
-            key = bucket_start(cell.date, "year")
-            totals[key] = totals.get(key, 0) + cell.f_at
-        for start, ratio in series.points:
-            n_at = totals.get(start, 0)
-            if ratio is None or n_at == 0:
+        volume = rebucket(
+            [(c.date, c.f_at) for c in store.daily_counts(lang)], "year", "sum"
+        )
+        for (start, ratio), (_, n_at) in zip(series.points, volume.points):
+            if ratio is None or not n_at:
                 continue
             rows.append((start.year, lang, math.log10(n_at), ratio))
     return tuple(sorted(rows))

@@ -1,8 +1,10 @@
 """Per-day, per-language message counters.
 
 The tally layer sits between ingestion and analytics.  A TallyStore maps
-(day, language) to a pair of organic / retweeted counts.  Stores form a
-commutative monoid under merge, which is what makes shard-then-merge
+each language to its days, and each (language, day) cell to a pair of
+organic / retweeted counts, so every per-language read (a daily series,
+a yearly table row) visits that language's cells and no others.  Stores
+form a commutative monoid under merge, which is what makes shard-then-merge
 ingestion safe: any partition of the input stream, tallied independently
 and merged in any order, yields the same store as a single pass.
 
@@ -61,35 +63,36 @@ class BucketedSeries:
 
 
 class TallyStore:
-    """Mergeable (day, language) -> (f_ot, f_rt) counter map.
+    """Mergeable language -> day -> (f_ot, f_rt) counter map.
 
-    Cells never persist at (0, 0): incrementing by zero is a no-op and
-    exports skip nothing because nothing empty is ever stored.
+    Cells are keyed by language first, so a per-language read touches only
+    that language's days.  Cells never persist at (0, 0) and no language
+    persists without cells: incrementing by zero is a no-op, so nothing
+    empty is ever stored and == compares the nested dicts directly.
     """
 
     def __init__(self, source: str = "") -> None:
-        self.entries: dict[Tuple[dt.date, str], list[int]] = {}
+        self.entries: dict[str, dict[dt.date, list[int]]] = {}
         self.errors: dict[str, int] = {}
         self.source = source
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(days) for days in self.entries.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TallyStore):
             return NotImplemented
-        return (
-            {k: tuple(v) for k, v in self.entries.items()}
-            == {k: tuple(v) for k, v in other.entries.items()}
-            and self.errors == other.errors
-        )
+        return self.entries == other.entries and self.errors == other.errors
 
     def add(self, date: dt.date, language: str, category: str, n: int = 1) -> None:
         if n < 0:
             raise ValueError("count increments must be nonnegative")
         if n == 0:
             return
-        cell = self.entries.setdefault((date, language), [0, 0])
+        days = self.entries.get(language)
+        if days is None:
+            days = self.entries[language] = {}
+        cell = days.setdefault(date, [0, 0])
         cell[0 if category == OT else 1] += n
 
     def count_error(self, key: str, n: int = 1) -> None:
@@ -101,36 +104,35 @@ class TallyStore:
         return sum(self.errors.values())
 
     def get(self, date: dt.date, language: str) -> Tuple[int, int]:
-        cell = self.entries.get((date, language))
+        cell = self.entries.get(language, {}).get(date)
         return (cell[0], cell[1]) if cell else (0, 0)
 
     def languages(self) -> Tuple[str, ...]:
-        return tuple(sorted({lang for _, lang in self.entries}))
+        return tuple(sorted(self.entries))
 
     def span(self) -> Optional[Tuple[dt.date, dt.date]]:
         """(first, last) observed day across all languages, or None if empty."""
         if not self.entries:
             return None
-        days = [d for d, _ in self.entries]
-        return min(days), max(days)
+        return min(map(min, self.entries.values())), max(map(max, self.entries.values()))
 
     def rows(self) -> Iterator[DayTally]:
         """All cells as DayTally records, sorted by (date, language)."""
-        for (date, lang) in sorted(self.entries):
-            f_ot, f_rt = self.entries[(date, lang)]
+        cells = sorted(
+            (date, lang, cell)
+            for lang, days in self.entries.items()
+            for date, cell in days.items()
+        )
+        for date, lang, (f_ot, f_rt) in cells:
             yield DayTally(date, lang, f_ot, f_rt)
 
     def daily_counts(self, language: str) -> Tuple[DayTally, ...]:
         """This language's cells only, sorted by date."""
-        picked = sorted(
-            (date, lang) for (date, lang) in self.entries if lang == language
-        )
-        return tuple(
-            DayTally(date, lang, *self.entries[(date, lang)]) for date, lang in picked
-        )
+        days = self.entries.get(language, {})
+        return tuple(DayTally(date, language, *days[date]) for date in sorted(days))
 
     def total_messages(self) -> int:
-        return sum(c[0] + c[1] for c in self.entries.values())
+        return sum(f_ot + f_rt for days in self.entries.values() for f_ot, f_rt in days.values())
 
 
 def accumulate(store: TallyStore, msg: CategorizedMessage, label: str) -> TallyStore:
@@ -147,10 +149,12 @@ def merge(a: TallyStore, b: TallyStore) -> TallyStore:
         source = a.source or b.source
     out = TallyStore(source=source)
     for store in (a, b):
-        for key, (f_ot, f_rt) in store.entries.items():
-            cell = out.entries.setdefault(key, [0, 0])
-            cell[0] += f_ot
-            cell[1] += f_rt
+        for lang, days in store.entries.items():
+            out_days = out.entries.setdefault(lang, {})
+            for date, (f_ot, f_rt) in days.items():
+                cell = out_days.setdefault(date, [0, 0])
+                cell[0] += f_ot
+                cell[1] += f_rt
         for key, n in store.errors.items():
             out.count_error(key, n)
     return out

@@ -210,6 +210,12 @@ def test_observations_from_rows_groups_by_year():
     assert by_year[1].points == ((5.0, 0.4), (5.5, 0.9))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_year_observations_rejects_non_finite_volume(bad):
+    with pytest.raises(ValueError, match="year 2019: non-finite log10_n"):
+        forecast.year_observations(2019, [(5.0, 0.4), (bad, 0.5)])
+
+
 def test_glm_state_array_roundtrip():
     z = _state()
     arr = z.as_array()
@@ -472,6 +478,14 @@ def test_pipeline_requires_consecutive_years():
 def test_pipeline_requires_three_usable_years():
     rows = [(2015, "en", 5.0, 0.4)] * 30 + [(2016, "en", 5.0, 0.4)] * 30
     with pytest.raises(ValueError):
+        forecast.forecast_pipeline(rows, _small_pipeline_config())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pipeline_rejects_non_finite_volume_naming_the_year(bad):
+    rows = [(year, "en", 5.0, 0.4) for year in (2015, 2016, 2017) for _ in range(30)]
+    rows[45] = (2016, "th", bad, 0.6)
+    with pytest.raises(ValueError, match="year 2016: non-finite log10_n"):
         forecast.forecast_pipeline(rows, _small_pipeline_config())
 
 

@@ -5,6 +5,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from contagion import tally
 from contagion.ingest import OT, RT, CategorizedMessage
@@ -27,6 +29,33 @@ def _random_store(rnd: random.Random) -> TallyStore:
     if rnd.random() < 0.3:
         store.count_error("bad_json", rnd.randrange(1, 4))
     return store
+
+
+def _store_from(cells, errors) -> TallyStore:
+    store = TallyStore()
+    for date, lang, f_ot, f_rt in cells:
+        store.add(date, lang, OT, f_ot)
+        store.add(date, lang, RT, f_rt)
+    for key, n in errors.items():
+        store.count_error(key, n)
+    return store
+
+
+# arbitrary stores: zero increments (which must leave nothing behind),
+# repeated cells, CSV-hostile language codes and the whole calendar
+_STORES = hs.builds(
+    _store_from,
+    hs.lists(
+        hs.tuples(
+            hs.one_of(hs.dates(D(2019, 1, 1), D(2019, 1, 5)), hs.dates()),
+            hs.text(alphabet='ez,"_ ', max_size=3),
+            hs.integers(0, 3),
+            hs.integers(0, 3),
+        ),
+        max_size=20,
+    ),
+    hs.dictionaries(hs.sampled_from(["bad_json", "bad_record"]), hs.integers(1, 3)),
+)
 
 
 # -- accumulate --------------------------------------------------------------
@@ -106,6 +135,14 @@ def test_conservation_on_fixture(mini_ndjson):
     assert store.total_messages() + store.error_total == 31
 
 
+@settings(deadline=None)
+@given(a=_STORES, b=_STORES, c=_STORES)
+def test_merge_monoid_on_arbitrary_stores(a, b, c):
+    assert tally.merge(a, TallyStore()) == a == tally.merge(TallyStore(), a)
+    assert tally.merge(a, b) == tally.merge(b, a)
+    assert tally.merge(a, tally.merge(b, c)) == tally.merge(tally.merge(a, b), c)
+
+
 # -- CSV interchange ---------------------------------------------------------
 
 
@@ -118,6 +155,15 @@ def test_csv_roundtrip():
         tally.save_csv(store, buf)
         clone = tally.load_csv(io.StringIO(buf.getvalue()))
         assert clone == store
+
+
+@settings(deadline=None)
+@given(store=_STORES)
+def test_csv_roundtrip_on_arbitrary_stores(store):
+    store.errors.clear()
+    buf = io.StringIO()
+    tally.save_csv(store, buf)
+    assert tally.load_csv(io.StringIO(buf.getvalue())) == store
 
 
 def test_csv_rows_sorted():
@@ -272,3 +318,20 @@ def test_span_languages_daily_counts():
     (cell,) = store.daily_counts("en")
     assert (cell.f_ot, cell.f_rt) == (2, 0)
     assert TallyStore().span() is None
+
+
+@settings(deadline=None)
+@given(store=_STORES)
+def test_rows_are_the_per_language_views_merged(store):
+    views = [cell for lang in store.languages() for cell in store.daily_counts(lang)]
+    for lang in store.languages():
+        dates = [cell.date for cell in store.daily_counts(lang)]
+        assert dates == sorted(set(dates))
+    rows = list(store.rows())
+    assert rows == sorted(views, key=lambda cell: (cell.date, cell.language))
+    assert len(store) == len(rows)
+    assert store.total_messages() == sum(cell.f_at for cell in rows)
+    # nothing empty persists: no (0, 0) cell, no language without cells
+    assert all(cell.f_at > 0 for cell in rows)
+    assert store.languages() == tuple(sorted({cell.language for cell in rows}))
+    assert store.span() == ((rows[0].date, rows[-1].date) if rows else None)

@@ -161,13 +161,11 @@ def _make_labeler(cfg: RunConfig) -> Callable[[ingest.CategorizedMessage], str]:
     model = _builtin_model(cfg) if source in ("builtin", "both") else None
 
     def label(part: ingest.CategorizedMessage) -> str:
-        if source == "external":
-            return lid.resolve_label(part, source="external")
-        pred = lid.classify(model, sanitize(part.text))
-        if source == "builtin":
-            return pred.language
-        external = lid.resolve_label(part, source="external")
-        return external if external != lid.UND else pred.language
+        if source != "builtin":
+            external = lid.resolve_label(part, source="external")
+            if source == "external" or external != lid.UND:
+                return external
+        return lid.classify(model, sanitize(part.text)).language
 
     return label
 

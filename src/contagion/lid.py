@@ -5,6 +5,11 @@ trained on sanitized text. Scores are normalized into a posterior whose top
 value doubles as the confidence; anything under 0.25 is reported as "und".
 External labels carried on the wire can be passed through instead of, or in
 addition to, the built-in prediction.
+
+Scoring runs on a dense copy of the model, built on first use: a
+``(vocab + 1, languages)`` log-likelihood matrix whose last row is the
+unseen slot, so each distinct gram of a message costs one vocabulary
+lookup whatever the number of languages.
 """
 from __future__ import annotations
 
@@ -12,9 +17,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .sanitize import SanitizedText, sanitize
 
@@ -65,6 +72,11 @@ class NgramModel:
     fall back on that language's ``unseen_log_lik``, the smoothed mass of
     one extra vocabulary slot. Likelihoods therefore sum to one over the
     vocabulary plus the unseen slot.
+
+    ``dense`` lays the same numbers out for scoring: one row per gram of
+    the vocabulary (the union of the tables) and one column per language
+    in ``languages`` order, a gram absent from a language's table holding
+    that language's unseen value; the extra last row is the unseen slot.
     """
 
     n_lo: int
@@ -79,13 +91,28 @@ class NgramModel:
     def languages(self) -> list[str]:
         return sorted(self.class_log_priors)
 
+    @cached_property
+    def dense(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """(gram -> row, log-likelihood matrix, log priors), built once for every classify call."""
+        langs = self.languages
+        index: dict = {}
+        for lang in langs:
+            for gram in self.gram_log_liks[lang]:
+                index.setdefault(gram, len(index))
+        matrix = np.empty((len(index) + 1, len(langs)))
+        for col, lang in enumerate(langs):
+            table = self.gram_log_liks[lang]
+            matrix[:, col] = self.unseen_log_liks[lang]
+            matrix[[index[g] for g in table], col] = list(table.values())
+        priors = np.array([self.class_log_priors[lang] for lang in langs])
+        return index, matrix, priors
+
 
 def _grams(text: str, n_lo: int, n_hi: int) -> Counter:
     counts: Counter = Counter()
     size = len(text)
     for n in range(n_lo, n_hi + 1):
-        for i in range(size - n + 1):
-            counts[text[i : i + n]] += 1
+        counts.update([text[i : i + n] for i in range(size - n + 1)])
     return counts
 
 
@@ -177,19 +204,15 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     grams = _grams(text, model.n_lo, model.n_hi)
     if not grams:
         return LidPrediction(UND, 0.0, "und")
-    best_lang = None
-    best_score = -math.inf
-    scores = []
-    for lang in model.languages:
-        table = model.gram_log_liks[lang]
-        fallback = model.unseen_log_liks[lang]
-        score = model.class_log_priors[lang]
-        for gram, count in grams.items():
-            score += count * table.get(gram, fallback)
-        scores.append(score)
-        if score > best_score:  # strict: first (smallest) code wins ties
-            best_score = score
-            best_lang = lang
+    index, matrix, priors = model.dense
+    unseen_row = len(index)
+    rows = matrix[[index.get(gram, unseen_row) for gram in grams]]
+    rows *= np.fromiter(grams.values(), dtype=float, count=len(grams))[:, None]
+    # cumsum adds row after row: the same float additions, in the same
+    # order, as prior + count * log_lik summed gram by gram
+    scores = np.cumsum(np.vstack((priors, rows)), axis=0)[-1].tolist()
+    best_score = max(scores)
+    best_lang = model.languages[scores.index(best_score)]  # first (smallest) code wins ties
     lse = best_score + math.log(sum(math.exp(s - best_score) for s in scores))
     confidence = math.exp(best_score - lse)
     language = best_lang if confidence >= UND_THRESHOLD else UND
@@ -245,7 +268,15 @@ def dumps_model(model: NgramModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(field: str, line: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value in model line: %r" % (line,))
+    return value
+
+
 def loads_model(data: str) -> NgramModel:
+    """Parse a v1 model file; inconsistent or non-finite contents raise ValueError."""
     lines = data.splitlines()
     if not lines:
         raise ValueError("empty model file")
@@ -270,15 +301,23 @@ def loads_model(data: str) -> NgramModel:
         elif tag == "vocab_size" and len(parts) == 2:
             vocab_size = int(parts[1])
         elif tag == "prior" and len(parts) == 3:
-            priors[parts[1]] = float(parts[2])
+            priors[parts[1]] = _finite(parts[2], line)
         elif tag == "unseen" and len(parts) == 3:
-            unseen[parts[1]] = float(parts[2])
+            unseen[parts[1]] = _finite(parts[2], line)
         elif tag == "gram" and len(parts) == 4:
-            tables.setdefault(parts[1], {})[parts[2]] = float(parts[3])
+            tables.setdefault(parts[1], {})[parts[2]] = _finite(parts[3], line)
         else:
             raise ValueError("bad model line: %r" % (line,))
     if n_lo is None or smoothing is None or vocab_size is None or not priors:
         raise ValueError("incomplete model file")
+    if not (1 <= n_lo <= n_hi):
+        raise ValueError("model n-gram range invalid: %r" % ((n_lo, n_hi),))
+    if set(unseen) != set(priors):
+        raise ValueError("model unseen languages %r differ from prior languages %r"
+                         % (sorted(unseen), sorted(priors)))
+    if not set(tables) <= set(priors):
+        raise ValueError("model grams for languages without a prior: %r"
+                         % sorted(set(tables) - set(priors)))
     for lang in priors:
         tables.setdefault(lang, {})
     return NgramModel(

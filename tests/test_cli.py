@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from contagion import cli, forecast, lid
+from contagion import cli, forecast, ingest, lid
 
 from conftest import FIXTURES, REPO, trend_rows
 
@@ -69,6 +69,13 @@ def test_golden_compare_json(tmp_path):
     out = tmp_path / "agreement.json"
     assert run("compare", "--in", MINI, "--out", str(out)) == 0
     assert out.read_bytes() == (GOLDEN / "agreement.json").read_bytes()
+
+
+def test_golden_eval_lid_heldout(tmp_path):
+    # mean_confidence sums every confidence: pins the scoring arithmetic bit for bit
+    out = tmp_path / "eval.json"
+    assert run("eval-lid", "--in", HELDOUT_TSV, "--out", str(out)) == 0
+    assert out.read_bytes() == (GOLDEN / "eval_lid_heldout.json").read_bytes()
 
 
 def test_golden_compare_csv(tmp_path):
@@ -156,6 +163,51 @@ def test_lid_both_prefers_external_then_builtin(tmp_path):
     assert cells() == [("en", 2)]  # builtin ignores the external label
     assert cells("--lid", "external") == [("fi", 1), ("und", 1)]
     assert cells("--lid", "both") == [("en", 1), ("fi", 1)]
+
+
+def test_lid_both_classifies_only_parts_without_a_wire_label(tmp_path, monkeypatch):
+    calls = []
+    classify = lid.classify
+
+    def counting(model, text):
+        calls.append(text)
+        return classify(model, text)
+
+    monkeypatch.setattr(lid, "classify", counting)
+    run_read(tmp_path, "ingest", "--in", MINI, "--lid", "both")
+    with open(MINI, "rb") as fh:
+        parts = [p for rec in ingest.parse_ndjson(fh.read().splitlines())
+                 for p in ingest.categorize(rec)]
+    unlabeled = [p for p in parts if lid.resolve_label(p, source="external") == lid.UND]
+    assert 0 < len(unlabeled) < len(parts)
+    assert len(calls) == len(unlabeled)
+
+
+# (line prefix, replacement or None to drop the line) for a model file
+# written by dumps_model for languages aa and bb
+BAD_MODEL_EDITS = {
+    "missing_unseen": ("unseen\taa\t", None),
+    "nan_prior": ("prior\taa\t", "prior\taa\tnan"),
+    "inf_unseen": ("unseen\tbb\t", "unseen\tbb\tinf"),
+    "inf_gram": ("gram\taa\tab\t", "gram\taa\tab\t-inf"),
+    "n_range_reversed": ("n_range\t", "n_range\t3\t1"),
+    "n_range_zero": ("n_range\t", "n_range\t0\t3"),
+    "gram_without_prior": ("gram\tbb\t", "gram\tcc\tzz\t-1.5"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_MODEL_EDITS))
+def test_inconsistent_model_file_exits_1(tmp_path, capsys, edit):
+    prefix, replacement = BAD_MODEL_EDITS[edit]
+    lines = lid.dumps_model(lid.train([("aa", "abab abba"), ("bb", "cdcd dccd")])).splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    lines[i : i + 1] = [] if replacement is None else [replacement]
+    model = tmp_path / "model.tsv"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("ingest", "--in", MINI, "--lid", "builtin", "--model", str(model),
+               "--out", str(tmp_path / "tally.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model" in err and "Traceback" not in err
 
 
 # -- metric variants ----------------------------------------------------------

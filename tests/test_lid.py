@@ -1,8 +1,11 @@
 """Language-identification tests: classifier, thresholding, serialization."""
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from contagion import lid
 from contagion.ingest import MessageRecord
@@ -165,6 +168,125 @@ def test_classify_never_confident_label_below_threshold():
         if pred.confidence < 0.25:
             assert pred.language == "und"
         assert pred.bucket == lid.bucket_confidence(pred.confidence)
+
+
+# -- dense scoring against the scalar reference ----------------------------------
+
+
+def _grams_reference(text, n_lo, n_hi):
+    counts = Counter()
+    for n in range(n_lo, n_hi + 1):
+        for i in range(len(text) - n + 1):
+            counts[text[i : i + n]] += 1
+    return counts
+
+
+def _classify_reference(model, text):
+    """The per-language scalar loop that lid.classify's dense scoring replaces."""
+    if not text:
+        return lid.LidPrediction(lid.UND, 0.0, "und")
+    grams = _grams_reference(text, model.n_lo, model.n_hi)
+    if not grams:
+        return lid.LidPrediction(lid.UND, 0.0, "und")
+    best_lang = None
+    best_score = -math.inf
+    scores = []
+    for lang in model.languages:
+        table = model.gram_log_liks[lang]
+        fallback = model.unseen_log_liks[lang]
+        score = model.class_log_priors[lang]
+        for gram, count in grams.items():
+            score += count * table.get(gram, fallback)
+        scores.append(score)
+        if score > best_score:  # strict: first (smallest) code wins ties
+            best_score = score
+            best_lang = lang
+    lse = best_score + math.log(sum(math.exp(s - best_score) for s in scores))
+    confidence = math.exp(best_score - lse)
+    language = best_lang if confidence >= lid.UND_THRESHOLD else lid.UND
+    return lid.LidPrediction(language, confidence, lid.bucket_confidence(confidence))
+
+
+# covers every subset of {a, b, c, d} unevenly; "zz" carries no grams at all
+SUBSET_MODEL = lid.NgramModel(
+    n_lo=1,
+    n_hi=2,
+    smoothing=1.0,
+    class_log_priors={"xx": math.log(0.5), "yy": math.log(0.3), "zz": math.log(0.2)},
+    gram_log_liks={
+        "xx": {"a": -1.0, "b": -2.5, "ab": -3.0},
+        "yy": {"b": -0.7, "c": -1.9, "bc": -2.2, "cd": -4.1},
+        "zz": {},
+    },
+    unseen_log_liks={"xx": -6.0, "yy": -5.5, "zz": -1.5},
+    vocab_size=6,
+)
+
+TEXTS = ["", " ", "a", "ab", "abab", "abcd", "dcba", "xy", "yx", "cdcd dccd",
+         "efef fefe", "abab cdcd efef", "\U0001F600\x00\u200b", "\u4e2d\u6587 \ud55c"]
+
+
+def _assert_matches_reference(model, text):
+    assert lid.classify(model, text) == _classify_reference(model, text)
+
+
+def test_grams_match_nested_loop_in_order():
+    for text in TEXTS + ["aaaa", "the quick brown fox"]:
+        for n_lo, n_hi in [(1, 1), (1, 3), (2, 2), (2, 5), (4, 4)]:
+            got = lid._grams(text, n_lo, n_hi)
+            assert list(got.items()) == list(_grams_reference(text, n_lo, n_hi).items())
+
+
+def test_dense_layout_rows_and_unseen_slot():
+    model = lid.train(DISJOINT)
+    assert "dense" not in model.__dict__  # built on first classify, not in train
+    index, matrix, priors = model.dense
+    langs = model.languages
+    assert matrix.shape == (len(index) + 1, len(langs))
+    assert priors.tolist() == [model.class_log_priors[lang] for lang in langs]
+    assert matrix[-1].tolist() == [model.unseen_log_liks[lang] for lang in langs]
+    for gram, row in index.items():
+        assert matrix[row].tolist() == [
+            model.gram_log_liks[lang].get(gram, model.unseen_log_liks[lang]) for lang in langs
+        ]
+
+
+def test_dense_matches_reference_on_bundled_corpora():
+    model = lid.default_model()
+    for split in ("train", "heldout"):
+        for _, text in lid.bundled_corpus(split):
+            _assert_matches_reference(model, sanitize(text).text)
+
+
+@pytest.mark.parametrize("corpus,n_range,smoothing", [
+    (DISJOINT, (1, 3), 1.0),
+    (DISJOINT, (1, 2), 0.5),
+    (DISJOINT + [("cc", "efef fefe"), ("dd", "ffee efef")], (2, 4), 0.1),
+    ([("aa", "xy"), ("bb", "xy")], (1, 3), 1.0),  # mirrored: every score ties
+])
+def test_dense_matches_reference_on_small_models(corpus, n_range, smoothing):
+    model = lid.train(corpus, n_range=n_range, smoothing=smoothing)
+    for text in TEXTS:
+        _assert_matches_reference(model, text)
+
+
+def test_dense_matches_reference_on_tables_over_vocabulary_subsets():
+    for text in TEXTS + ["bcd", "abcbcd", "dddd"]:
+        _assert_matches_reference(SUBSET_MODEL, text)
+
+
+_HOSTILE = hs.text(alphabet=hs.characters(blacklist_categories=("Cs",)), max_size=80)
+_SCRIPTS = hs.text(alphabet="ab cdxy\t\n\x00\u200d\u0301\U0001F600\U0001F1EA\U00010348\u4e2d",
+                   max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=hs.one_of(_HOSTILE, _SCRIPTS))
+def test_dense_matches_reference_on_arbitrary_text(text):
+    model = lid.default_model()
+    _assert_matches_reference(model, text)
+    _assert_matches_reference(model, sanitize(text).text)
+    _assert_matches_reference(SUBSET_MODEL, text)
 
 
 def test_untrained_model_is_configuration_error():

@@ -2,15 +2,15 @@
 """Three-stage dynamic model on synthetic annual data, stage by stage.
 
 Stage 1 fits each year's joint skew-normal volume / Laplace regression
-model by random-walk Metropolis.  Stage 2 compresses each posterior to its
+model by random-walk Metropolis, every (year, chain) pair in lockstep.  Stage 2 compresses each posterior to its
 mean vector and fits a correlated Gaussian random walk to the year-to-year
 increments (log-normal scales, LKJ(eta) correlation).  Stage 3 pushes the
 last fitted state one step forward to get a predictive cloud for next
 year's (volume, ratio) pairs.
 
 The generating truth drifts linearly, so you can read recovery quality
-directly off the table.  Runs in roughly half a minute at the default
-sampler settings.
+directly off the table.  Runs in about a second at the default sampler
+settings.
 
     python3 demos/forecast_walkthrough.py --years 6 --points 120
 """

@@ -25,8 +25,12 @@ Stage 3: evolve the walk one step, draw a synthetic volume sample from
 the stepped skew-normal, push it through the stepped GLM, and report
 predictive quantiles.
 
-Densities are written out by hand (only scipy.special primitives) so
-each term is auditable against the model statement above.
+Chains run in lockstep: one sampler kernel steps a batch of chains as
+the rows of an array, every (year, chain) pair of stage 1 in one batch
+and every walk chain in another.  Densities are written out by hand
+(only scipy.special primitives) so each term is auditable against the
+model statement above; they broadcast, so each batched target is one
+call per term.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln, log_ndtr
 
 PARAM_NAMES = ("mu", "tau", "alpha", "beta0", "beta1", "b")
@@ -46,6 +49,7 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # spawn_key stage tags keeping every pipeline phase on its own rng stream
+_STAGE_YEARS = 999961
 _STAGE_WALK = 999983
 _STAGE_FORECAST = 999979
 
@@ -54,9 +58,9 @@ _STAGE_FORECAST = 999979
 # densities
 
 
-def norm_logpdf(x, mean: float, sd: float):
+def norm_logpdf(x, mean, sd):
     z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - math.log(sd) - 0.5 * _LOG_2PI
+    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
 
 
 def gamma_logpdf(x, shape: float, rate: float):
@@ -104,56 +108,28 @@ def lognormal_logpdf(x, mean: float, sd: float):
     return out if out.shape else float(out)
 
 
-def skewnorm_logpdf(x, loc: float, scale: float, shape: float):
+def skewnorm_logpdf(x, loc, scale, shape):
     """log of 2/scale * phi((x-loc)/scale) * Phi(shape*(x-loc)/scale)."""
     z = (np.asarray(x, dtype=float) - loc) / scale
     return (
         math.log(2.0)
-        - math.log(scale)
+        - np.log(scale)
         - 0.5 * z * z
         - 0.5 * _LOG_2PI
         + log_ndtr(shape * z)
     )
 
 
-def skewnorm_mean(loc: float, scale: float, shape: float) -> float:
-    """E[X] = loc + scale * delta * sqrt(2/pi), delta = shape/sqrt(1+shape^2)."""
-    delta = shape / math.sqrt(1.0 + shape * shape)
-    return loc + scale * delta * math.sqrt(2.0 / math.pi)
+def sample_skewnorm(rng: np.random.Generator, loc, scale, shape, size):
+    """Draw via the |N| + N representation of the skew-normal.
 
-
-def sample_skewnorm(rng: np.random.Generator, loc: float, scale: float, shape: float, size: int):
-    """Draw via the |N| + N representation of the skew-normal."""
-    delta = shape / math.sqrt(1.0 + shape * shape)
+    The parameters broadcast against ``size``, so one call can draw a
+    cloud for each of many parameter vectors.
+    """
+    delta = shape / np.sqrt(1.0 + shape * shape)
     u0 = rng.standard_normal(size)
     u1 = rng.standard_normal(size)
-    return loc + scale * (delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1)
-
-
-def sample_lkj_correlation(eta: float, size: int, seed: int = 0) -> np.ndarray:
-    """Off-diagonal draws of a 2x2 LKJ(eta) correlation matrix.
-
-    In two dimensions the off-diagonal r has density proportional to
-    (1 - r^2)^(eta - 1), i.e. r = 2u - 1 with u ~ Beta(eta, eta).
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return 2.0 * rng.beta(eta, eta, size=size) - 1.0
-
-
-def lkj_marginal_cdf(r, eta: float = 2.0) -> np.ndarray:
-    """CDF of the 2x2 LKJ off-diagonal marginal.
-
-    Closed form for eta = 2 (density 0.75 * (1 - r^2) on [-1, 1]):
-    F(r) = 0.75 * (r - r^3/3 + 2/3).
-    """
-    r = np.asarray(r, dtype=float)
-    if eta == 2.0:
-        return 0.75 * (r - r**3 / 3.0 + 2.0 / 3.0)
-    from scipy.special import betainc
-
-    return betainc(eta, eta, (r + 1.0) / 2.0)
+    return loc + scale * (delta * np.abs(u0) + np.sqrt(1.0 - delta * delta) * u1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +170,7 @@ class YearObservations:
 
     @cached_property
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(x, r) arrays of the points, built once for every likelihood call."""
+        """(x, r) arrays of the points, built once."""
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         return pts[:, 0], pts[:, 1]
 
@@ -225,34 +201,51 @@ def observations_from_rows(
     )
 
 
-def log_prior(z: GlmState) -> float:
-    if z.tau <= 0 or z.b <= 0:
-        return -math.inf
-    return float(
-        norm_logpdf(z.mu, 5.0, 1.0)
-        + gamma_logpdf(z.tau, 10.0, 1.0)
-        + norm_logpdf(z.alpha, 1.0, 1.0)
-        + norm_logpdf(z.beta0, 0.0, 1.0)
-        + norm_logpdf(z.beta1, 0.0, 1.0)
-        + invgamma_logpdf(z.b, 6.0, 1.0)
+def _padded_columns(
+    observations: Sequence[YearObservations],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, r, has_point) arrays of shape (years, most points in a year).
+
+    Shorter years are padded with zeros that has_point marks as absent.
+    """
+    width = max((len(obs.points) for obs in observations), default=0)
+    x = np.zeros((len(observations), width))
+    r = np.zeros_like(x)
+    has_point = np.zeros(x.shape, dtype=bool)
+    for i, obs in enumerate(observations):
+        n = len(obs.points)
+        x[i, :n], r[i, :n] = obs.columns
+        has_point[i, :n] = True
+    return x, r, has_point
+
+
+def _year_log_target(
+    w: np.ndarray, x: np.ndarray, r: np.ndarray, has_point: np.ndarray
+) -> np.ndarray:
+    """Stage-1 log posterior of each row of w = (mu, log tau, alpha, beta0, beta1, log b).
+
+    Row k sees the points x[k], r[k] where has_point[k].  The log
+    transforms add the + log tau + log b Jacobian; a row with
+    |log tau| or |log b| above 500 has density 0.  Padded points are
+    dropped with np.where, never multiplied by 0, so a non-finite term
+    there cannot turn the row's sum into nan.
+    """
+    inside = (np.abs(w[:, 1]) <= 500) & (np.abs(w[:, 5]) <= 500)
+    w = np.where(inside[:, None], w, 0.0)  # finite stand-in for rows set to -inf below
+    mu, log_tau, alpha, beta0, beta1, log_b = w.T
+    tau, b = np.exp(log_tau), np.exp(log_b)
+    prior = (
+        norm_logpdf(mu, 5.0, 1.0)
+        + gamma_logpdf(tau, 10.0, 1.0)
+        + norm_logpdf(alpha, 1.0, 1.0)
+        + norm_logpdf(beta0, 0.0, 1.0)
+        + norm_logpdf(beta1, 0.0, 1.0)
+        + invgamma_logpdf(b, 6.0, 1.0)
     )
-
-
-def log_likelihood(z: GlmState, obs: YearObservations) -> float:
-    if not obs.points:
-        return 0.0
-    x, r = obs.columns
-    omega = z.tau ** -0.5
-    volume_term = skewnorm_logpdf(x, z.mu, omega, z.alpha)
-    glm_term = laplace_logpdf(r, z.beta0 + z.beta1 * x, z.b)
-    return float(np.sum(volume_term) + np.sum(glm_term))
-
-
-def log_posterior(z: GlmState, obs: YearObservations) -> float:
-    lp = log_prior(z)
-    if lp == -math.inf:
-        return lp
-    return lp + log_likelihood(z, obs)
+    volume = skewnorm_logpdf(x, mu[:, None], tau[:, None] ** -0.5, alpha[:, None])
+    glm = laplace_logpdf(r, beta0[:, None] + beta1[:, None] * x, b[:, None])
+    likelihood = np.where(has_point, volume + glm, 0.0).sum(axis=1)
+    return np.where(inside, prior + likelihood + log_tau + log_b, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -307,83 +300,89 @@ class PosteriorSamples:
         return GlmState(*(float(np.mean(self.draws[k])) for k in PARAM_NAMES))
 
 
-def _chain_rng(seed: int, stage: int, chain: int) -> np.random.Generator:
+def _stage_rng(seed: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stage, chain))
+        np.random.SeedSequence(entropy=seed, spawn_key=(stage,))
     )
 
 
-def _run_chain(
-    log_target: Callable[[np.ndarray], float],
+def _refresh_shapes(
+    recent: np.ndarray,
+    prop_chol: np.ndarray,
+    log_step: np.ndarray,
+    rm_clock: np.ndarray,
+) -> None:
+    """Refit each row's proposal shape to its recent (n, K, d) trace, in place.
+
+    A row whose empirical covariance has no Cholesky factor keeps its
+    previous shape, step size and Robbins-Monro clock.
+    """
+    n, k, dim = recent.shape
+    centered = recent - recent.mean(axis=0)
+    cov = np.einsum("nki,nkj->kij", centered, centered) / (n - 1)
+    cov += 1e-12 * np.eye(dim)
+    for i in range(k):
+        try:
+            prop_chol[i] = np.linalg.cholesky(cov[i])
+        except np.linalg.LinAlgError:
+            continue  # degenerate trace; keep this row's previous shape
+        log_step[i] = math.log(2.38 / math.sqrt(dim))
+        rm_clock[i] = 0
+
+
+def _metropolis(
+    log_target: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     rng: np.random.Generator,
-    warmup: int,
-    draws: int,
-    target_accept: float,
-) -> Tuple[np.ndarray, float]:
-    """Adaptive random-walk Metropolis over an unconstrained vector.
+    config: SamplerConfig,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Adaptive random-walk Metropolis over the K rows of x0, in lockstep.
 
-    Warmup interleaves two adaptations: a Robbins-Monro global step size
-    chasing the target acceptance rate, and (at 1/2 and 3/4 of warmup) a
-    proposal shape taken from the empirical covariance of the recent
-    trace, which handles the strong beta0/beta1-style ridges a diagonal
-    proposal cannot.  Everything freezes when sampling starts, so the
-    post-warmup chain is a valid time-homogeneous Metropolis kernel.
+    Each row of the (K, d) state is its own chain with its own step size
+    and proposal shape; log_target maps a (K, d) batch to K log
+    densities.  Warmup interleaves two adaptations, row by row: a
+    Robbins-Monro step size chasing the target acceptance rate, and (at
+    1/2 and 3/4 of warmup) a proposal shape taken from the empirical
+    covariance of the recent trace (Haario et al., Bernoulli 2001), which
+    handles the strong beta0/beta1-style ridges a diagonal proposal
+    cannot.  Everything freezes when sampling starts, so each post-warmup
+    chain is a valid time-homogeneous Metropolis kernel.  Every step
+    draws one (K, d) normal block and K uniforms from rng.
+
+    Returns the (K, draws, d) post-warmup states and each row's
+    acceptance rate.
     """
-    dim = x0.shape[0]
+    warmup, draws = config.warmup, config.draws
+    k, dim = x0.shape
     x = x0.copy()
     lp = log_target(x)
-    if not np.isfinite(lp):
+    if not np.all(np.isfinite(lp)):
         raise ValueError("initial state has zero posterior density")
-    log_step = math.log(0.1)
-    prop_chol = np.eye(dim)
+    log_step = np.full(k, math.log(0.1))
+    prop_chol = np.tile(np.eye(dim), (k, 1, 1))
+    rm_clock = np.zeros(k)
     refreshes = {warmup // 2, (3 * warmup) // 4} if warmup >= 1000 else set()
-    trace: list = []
-    rm_clock = 0
-    out = np.empty((draws, dim))
-    accepted = 0
+    trace = np.empty((warmup, k, dim))
+    out = np.empty((draws, k, dim))
+    accepted = np.zeros(k)
     for t in range(warmup + draws):
-        proposal = x + math.exp(log_step) * (prop_chol @ rng.standard_normal(dim))
+        step = np.einsum("kij,kj->ki", prop_chol, rng.standard_normal((k, dim)))
+        proposal = x + np.exp(log_step)[:, None] * step
         lp_prop = log_target(proposal)
-        if not np.isfinite(lp_prop):
-            lp_prop = -math.inf
-        ok = math.log(max(rng.random(), 1e-300)) < lp_prop - lp
-        if ok:
-            x, lp = proposal, lp_prop
+        lp_prop = np.where(np.isfinite(lp_prop), lp_prop, -np.inf)
+        ok = np.log(np.maximum(rng.random(k), 1e-300)) < lp_prop - lp
+        x = np.where(ok[:, None], proposal, x)
+        lp = np.where(ok, lp_prop, lp)
         if t < warmup:
             rm_clock += 1
-            log_step += rm_clock**-0.6 * ((1.0 if ok else 0.0) - target_accept)
-            trace.append(x.copy())
+            log_step += rm_clock**-0.6 * (ok - config.target_accept)
+            trace[t] = x
             if t + 1 in refreshes:
-                recent = np.asarray(trace[len(trace) // 2 :])
-                cov = np.atleast_2d(np.cov(recent.T)) + 1e-12 * np.eye(dim)
-                try:
-                    prop_chol = np.linalg.cholesky(cov)
-                except np.linalg.LinAlgError:
-                    pass  # degenerate trace; keep the previous shape
-                else:
-                    log_step = math.log(2.38 / math.sqrt(dim))
-                    rm_clock = 0
+                _refresh_shapes(trace[(t + 1) // 2 : t + 1], prop_chol, log_step, rm_clock)
         else:
             out[t - warmup] = x
             accepted += ok
-    return out, accepted / draws
-
-
-def _run_chains(
-    log_target: Callable[[np.ndarray], float],
-    starts: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
-    config: SamplerConfig,
-) -> Tuple[np.ndarray, Tuple[float, ...]]:
-    """Run the chains one after another; draws concatenate in chain order."""
-    results = [
-        _run_chain(log_target, x0, rng, config.warmup, config.draws, config.target_accept)
-        for x0, rng in zip(starts, rngs)
-    ]
-    samples = np.concatenate([r[0] for r in results], axis=0)
-    rates = tuple(r[1] for r in results)
-    return samples, rates
+    return out.transpose(1, 0, 2), accepted / draws
 
 
 def _acceptance_warnings(rates: Sequence[float], stage: str) -> Tuple[str, ...]:
@@ -394,41 +393,45 @@ def _acceptance_warnings(rates: Sequence[float], stage: str) -> Tuple[str, ...]:
     )
 
 
-def sample_posterior(obs: YearObservations, config: SamplerConfig) -> PosteriorSamples:
-    """Fit one year's model by MCMC.
+def sample_posterior(
+    observations: Sequence[YearObservations], config: SamplerConfig
+) -> Tuple[PosteriorSamples, ...]:
+    """Fit every year's model by MCMC; one PosteriorSamples per year, in order.
 
-    The chain walks (mu, log tau, alpha, beta0, beta1, log b); the log
+    The chains walk (mu, log tau, alpha, beta0, beta1, log b); the log
     transforms keep proposals inside the support and add the usual
-    + log tau + log b Jacobian term to the target.
+    + log tau + log b Jacobian term to the target.  All years x chains
+    run as one lockstep batch on one random stream, so a year's draws
+    depend on which other years share the call.
     """
-
-    def log_target(w: np.ndarray) -> float:
-        mu, log_tau, alpha, beta0, beta1, log_b = w
-        if abs(log_tau) > 500 or abs(log_b) > 500:
-            return -math.inf
-        z = GlmState(mu, math.exp(log_tau), alpha, beta0, beta1, math.exp(log_b))
-        return log_posterior(z, obs) + log_tau + log_b
-
-    base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
-    rngs = [_chain_rng(config.seed, obs.year, c) for c in range(config.chains)]
-    starts = [base + 0.1 * rng.standard_normal(6) for rng in rngs]
-    samples, rates = _run_chains(log_target, starts, rngs, config)
-
-    draws = {
-        "mu": samples[:, 0],
-        "tau": np.exp(samples[:, 1]),
-        "alpha": samples[:, 2],
-        "beta0": samples[:, 3],
-        "beta1": samples[:, 4],
-        "b": np.exp(samples[:, 5]),
-    }
-    return PosteriorSamples(
-        year=obs.year,
-        draws=draws,
-        acceptance=rates,
-        warnings=_acceptance_warnings(rates, "year %d" % obs.year),
-        seed=config.seed,
+    chains, n_years = config.chains, len(observations)
+    x, r, has_point = (
+        np.repeat(a, chains, axis=0) for a in _padded_columns(observations)
     )
+    rng = _stage_rng(config.seed, _STAGE_YEARS)
+    base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
+    starts = base + 0.1 * rng.standard_normal((n_years * chains, 6))
+    samples, rates = _metropolis(
+        lambda w: _year_log_target(w, x, r, has_point), starts, rng, config
+    )
+    samples = samples.reshape(n_years, chains * config.draws, 6)
+    rates = rates.reshape(n_years, chains)
+
+    fits = []
+    for obs, year_samples, year_rates in zip(observations, samples, rates):
+        draws = dict(zip(PARAM_NAMES, year_samples.T))
+        draws["tau"], draws["b"] = np.exp(draws["tau"]), np.exp(draws["b"])
+        acceptance = tuple(float(v) for v in year_rates)
+        fits.append(
+            PosteriorSamples(
+                year=obs.year,
+                draws=draws,
+                acceptance=acceptance,
+                warnings=_acceptance_warnings(acceptance, "year %d" % obs.year),
+                seed=config.seed,
+            )
+        )
+    return tuple(fits)
 
 
 def pseudo_observations(
@@ -446,19 +449,9 @@ def pseudo_observations(
 
 
 @dataclass(frozen=True)
-class RandomWalkParams:
-    """One draw of the walk covariance: Sigma = diag(sigma) . R . diag(sigma)."""
-
-    sigma: np.ndarray
-    corr: np.ndarray
-    chol: np.ndarray  # lower triangular, chol @ chol.T == Sigma
-
-    def covariance(self) -> np.ndarray:
-        return self.chol @ self.chol.T
-
-
-@dataclass(frozen=True)
 class WalkPosterior:
+    """Walk covariance draws: Sigma = diag(sigma) . R . diag(sigma)."""
+
     dim: int
     eta: float
     sigma: np.ndarray  # (S, dim)
@@ -471,89 +464,82 @@ class WalkPosterior:
     def size(self) -> int:
         return int(self.sigma.shape[0])
 
-    def params(self, i: int) -> RandomWalkParams:
-        sigma = self.sigma[i]
-        l_r = self.chol_corr[i]
-        return RandomWalkParams(
-            sigma=sigma, corr=l_r @ l_r.T, chol=sigma[:, None] * l_r
-        )
 
+def _chol_from_free(y: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower-triangular correlation Cholesky factors from free entries.
 
-def _chol_from_free(y: np.ndarray, dim: int) -> Optional[np.ndarray]:
-    """Lower-triangular correlation Cholesky from the free below-diagonal
-    entries; rows must fit inside the unit ball or the point is invalid."""
-    l_r = np.zeros((dim, dim))
-    l_r[0, 0] = 1.0
-    idx = 0
-    for i in range(1, dim):
-        row = y[idx : idx + i]
-        idx += i
-        ss = float(np.dot(row, row))
-        if ss >= 1.0:
-            return None
-        l_r[i, :i] = row
-        l_r[i, i] = math.sqrt(1.0 - ss)
-    return l_r
+    Row s of y holds the below-diagonal entries of factor s, row by row.
+    Returns the (S, dim, dim) factors and whether each is valid: every
+    row must fit inside the unit ball.  An invalid factor gets a unit
+    diagonal where its rows do not fit, so it stays finite.
+    """
+    l_r = np.zeros((y.shape[0], dim, dim))
+    l_r[:, np.tri(dim, k=-1, dtype=bool)] = y  # boolean masks fill row by row
+    ss = np.einsum("sij,sij->si", l_r, l_r)
+    inside = ss < 1.0
+    diag = np.arange(dim)
+    l_r[:, diag, diag] = np.sqrt(np.where(inside, 1.0 - ss, 1.0))
+    return l_r, inside.all(axis=1)
 
 
 def _walk_log_target(
     w: np.ndarray, increments: np.ndarray, dim: int, eta: float
-) -> float:
-    """Log density over w = (log sigma, free Cholesky entries).
+) -> np.ndarray:
+    """Log density of each row of w = (log sigma, free Cholesky entries).
 
     Likelihood: product over steps of MVN(increment; 0, Sigma).
     Priors: sigma_i ~ LogNormal(0, 1) (plus the log-space Jacobian) and
-    R ~ LKJ(eta) through its density det(R)^(eta - 1).
+    R ~ LKJ(eta) through its density det(R)^(eta - 1).  The triangular
+    solve is a plain forward substitution: no BLAS call, so no BLAS
+    helper thread wakes up.
     """
-    log_sigma = w[:dim]
-    if np.any(np.abs(log_sigma) > 500):
-        return -math.inf
+    l_r, valid = _chol_from_free(w[:, dim:], dim)
+    log_sigma = w[:, :dim]
+    ok = valid & np.all(np.abs(log_sigma) <= 500, axis=1)
+    log_sigma = np.where(ok[:, None], log_sigma, 0.0)  # finite stand-in for -inf rows
     sigma = np.exp(log_sigma)
-    l_r = _chol_from_free(w[dim:], dim)
-    if l_r is None:
-        return -math.inf
 
-    log_det_r = 2.0 * float(np.sum(np.log(np.diag(l_r))))
-    lp = float(np.sum(lognormal_logpdf(sigma, 0.0, 1.0)))
-    lp += float(np.sum(log_sigma))  # Jacobian of the log transform
+    log_det_r = 2.0 * np.sum(np.log(np.diagonal(l_r, axis1=1, axis2=2)), axis=1)
+    lp = np.sum(lognormal_logpdf(sigma, 0.0, 1.0), axis=1)
+    lp += np.sum(log_sigma, axis=1)  # Jacobian of the log transform
     lp += (eta - 1.0) * log_det_r
 
-    if increments.shape[0]:
-        chol = sigma[:, None] * l_r  # Cholesky of Sigma
-        log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        u = solve_triangular(chol, increments.T, lower=True)
-        quad = float(np.sum(u * u))
-        n_steps = increments.shape[0]
+    n_steps = increments.shape[0]
+    if n_steps:
+        # Sigma's Cholesky factor is diag(sigma) . L_R, so solving it
+        # against the increments is solving L_R against increments / sigma
+        scaled = increments.T / sigma[:, :, None]
+        u = np.empty_like(scaled)
+        for i in range(dim):
+            known = np.einsum("kj,kjn->kn", l_r[:, i, :i], u[:, :i])
+            u[:, i] = (scaled[:, i] - known) / l_r[:, i, i, None]
+        log_det_sigma = 2.0 * np.sum(log_sigma, axis=1) + log_det_r
+        quad = np.sum(u * u, axis=(1, 2))
         lp += -0.5 * (n_steps * (dim * _LOG_2PI + log_det_sigma) + quad)
-    return lp
+    return np.where(ok, lp, -np.inf)
 
 
 def _fit_walk_from_increments(
     increments: np.ndarray, config: SamplerConfig, dim: int
 ) -> WalkPosterior:
     n_free = dim * (dim - 1) // 2
-
-    def log_target(w: np.ndarray) -> float:
-        return _walk_log_target(w, increments, dim, config.eta)
-
-    rngs = [_chain_rng(config.seed, _STAGE_WALK, c) for c in range(config.chains)]
+    rng = _stage_rng(config.seed, _STAGE_WALK)
     base = np.concatenate([np.full(dim, -1.0), np.zeros(n_free)])
-    starts = [base + 0.05 * rng.standard_normal(dim + n_free) for rng in rngs]
-    samples, rates = _run_chains(log_target, starts, rngs, config)
-
-    sigma = np.exp(samples[:, :dim])
-    chol_corr = np.empty((samples.shape[0], dim, dim))
-    for i in range(samples.shape[0]):
-        l_r = _chol_from_free(samples[i, dim:], dim)
-        assert l_r is not None  # accepted states are always valid
-        chol_corr[i] = l_r
+    starts = base + 0.05 * rng.standard_normal((config.chains, dim + n_free))
+    samples, rates = _metropolis(
+        lambda w: _walk_log_target(w, increments, dim, config.eta), starts, rng, config
+    )
+    samples = samples.reshape(-1, dim + n_free)
+    chol_corr, valid = _chol_from_free(samples[:, dim:], dim)
+    assert valid.all()  # accepted states are always valid
+    acceptance = tuple(float(v) for v in rates)
     return WalkPosterior(
         dim=dim,
         eta=config.eta,
-        sigma=sigma,
+        sigma=np.exp(samples[:, :dim]),
         chol_corr=chol_corr,
-        acceptance=rates,
-        warnings=_acceptance_warnings(rates, "walk"),
+        acceptance=acceptance,
+        warnings=_acceptance_warnings(acceptance, "walk"),
         seed=config.seed,
     )
 
@@ -605,37 +591,29 @@ def forecast_next(
     of times (the walk is unconstrained but the model's support is not);
     a draw that never lands in the support is dropped and counted.
     """
-    rng = _chain_rng(config.seed, _STAGE_FORECAST, 0)
+    rng = _stage_rng(config.seed, _STAGE_FORECAST)
+    chol = walk.sigma[:, :, None] * walk.chol_corr
     z_t = pseudo_last.as_array()
-    dim = walk.dim
 
-    states = []
-    rejected = 0
-    for i in range(walk.size):
-        chol = walk.sigma[i][:, None] * walk.chol_corr[i]
-        nxt = None
-        for _ in range(100):
-            cand = z_t + chol @ rng.standard_normal(dim)
-            if cand[1] > 0 and cand[5] > 0:
-                nxt = cand
-                break
-        if nxt is None:
-            rejected += 1
-            continue
-        states.append(nxt)
-    if not states:
+    states = np.empty((walk.size, walk.dim))
+    pending = np.arange(walk.size)
+    for _ in range(100):
+        if not pending.size:
+            break
+        cand = z_t + np.einsum(
+            "sij,sj->si", chol[pending], rng.standard_normal((pending.size, walk.dim))
+        )
+        landed = (cand[:, 1] > 0) & (cand[:, 5] > 0)
+        states[pending[landed]] = cand[landed]
+        pending = pending[~landed]
+    if pending.size == walk.size:
         raise ValueError("no forecast draw landed in the model's support")
-    z_next = np.stack(states)
+    z_next = np.delete(states, pending, axis=0)
 
-    m = config.points_per_draw
-    log10_n = np.empty((z_next.shape[0], m))
-    ratio = np.empty((z_next.shape[0], m))
-    for i, z in enumerate(z_next):
-        mu, tau, alpha, beta0, beta1, b = z
-        omega = tau ** -0.5
-        x = sample_skewnorm(rng, mu, omega, alpha, m)
-        log10_n[i] = x
-        ratio[i] = beta0 + beta1 * x + rng.laplace(0.0, b, size=m)
+    mu, tau, alpha, beta0, beta1, b = (col[:, None] for col in z_next.T)
+    size = (z_next.shape[0], config.points_per_draw)
+    log10_n = sample_skewnorm(rng, mu, tau**-0.5, alpha, size)
+    ratio = beta0 + beta1 * log10_n + rng.laplace(0.0, b, size=size)
 
     state_draws = {name: z_next[:, k] for k, name in enumerate(PARAM_NAMES)}
     flat_x, flat_r = log10_n.ravel(), ratio.ravel()
@@ -650,7 +628,7 @@ def forecast_next(
             "ratio": _quantile_dict(flat_r),
         },
         n_draws=int(z_next.shape[0]),
-        n_rejected=rejected,
+        n_rejected=int(pending.size),
         seed=config.seed,
     )
 
@@ -686,7 +664,7 @@ def forecast_pipeline(
     if any(b != a + 1 for a, b in zip(years, years[1:])):
         raise ValueError("years must be consecutive, got %s" % (years,))
 
-    fits = [sample_posterior(obs, config) for obs in observations]
+    fits = sample_posterior(observations, config)
     pseudo = pseudo_observations(fits)
     walk = fit_random_walk(pseudo, config)
     bundle = forecast_next(pseudo[-1], walk, config, year=years[-1] + 1)
@@ -741,5 +719,5 @@ def forecast_pipeline(
         },
     }
     return PipelineResult(
-        summary=summary, fits=tuple(fits), pseudo=pseudo, walk=walk, bundle=bundle
+        summary=summary, fits=fits, pseudo=pseudo, walk=walk, bundle=bundle
     )

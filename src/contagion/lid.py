@@ -312,12 +312,18 @@ def loads_model(data: str) -> NgramModel:
         raise ValueError("incomplete model file")
     if not (1 <= n_lo <= n_hi):
         raise ValueError("model n-gram range invalid: %r" % ((n_lo, n_hi),))
+    if not (0.0 < smoothing < math.inf):
+        raise ValueError("model smoothing must be finite and positive: %r" % (smoothing,))
     if set(unseen) != set(priors):
         raise ValueError("model unseen languages %r differ from prior languages %r"
                          % (sorted(unseen), sorted(priors)))
     if not set(tables) <= set(priors):
         raise ValueError("model grams for languages without a prior: %r"
                          % sorted(set(tables) - set(priors)))
+    n_grams = len(set().union(*tables.values()))
+    if vocab_size != n_grams:
+        raise ValueError("model vocab_size %d differs from its %d distinct grams"
+                         % (vocab_size, n_grams))
     for lang in priors:
         tables.setdefault(lang, {})
     return NgramModel(

@@ -1,5 +1,7 @@
-"""Shared fixtures: paths and the synthetic trend used by the forecast tests."""
+"""Shared fixtures: paths, the synthetic trend used by the forecast tests,
+and the closed forms those tests check the sampler against."""
 
+import math
 import pathlib
 
 import numpy as np
@@ -43,6 +45,38 @@ def trend_rows(points_per_year: int = 150):
         r = p["beta0"] + p["beta1"] * x + rng.laplace(0.0, p["b"], size=points_per_year)
         rows.extend((year, "en", float(xi), float(ri)) for xi, ri in zip(x, r))
     return rows
+
+
+def skewnorm_mean(loc: float, scale: float, shape: float) -> float:
+    """E[X] = loc + scale * delta * sqrt(2/pi), delta = shape/sqrt(1+shape^2)."""
+    delta = shape / math.sqrt(1.0 + shape * shape)
+    return loc + scale * delta * math.sqrt(2.0 / math.pi)
+
+
+def sample_lkj_correlation(eta: float, size: int, seed: int = 0) -> np.ndarray:
+    """Off-diagonal draws of a 2x2 LKJ(eta) correlation matrix.
+
+    In two dimensions the off-diagonal r has density proportional to
+    (1 - r^2)^(eta - 1), i.e. r = 2u - 1 with u ~ Beta(eta, eta).
+    """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    return 2.0 * rng.beta(eta, eta, size=size) - 1.0
+
+
+def lkj_marginal_cdf(r, eta: float = 2.0) -> np.ndarray:
+    """CDF of the 2x2 LKJ off-diagonal marginal.
+
+    Closed form for eta = 2 (density 0.75 * (1 - r^2) on [-1, 1]):
+    F(r) = 0.75 * (r - r^3/3 + 2/3).
+    """
+    r = np.asarray(r, dtype=float)
+    if eta == 2.0:
+        return 0.75 * (r - r**3 / 3.0 + 2.0 / 3.0)
+    from scipy.special import betainc
+
+    return betainc(eta, eta, (r + 1.0) / 2.0)
 
 
 @pytest.fixture(scope="session")

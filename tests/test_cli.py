@@ -193,6 +193,11 @@ BAD_MODEL_EDITS = {
     "n_range_reversed": ("n_range\t", "n_range\t3\t1"),
     "n_range_zero": ("n_range\t", "n_range\t0\t3"),
     "gram_without_prior": ("gram\tbb\t", "gram\tcc\tzz\t-1.5"),
+    "nan_smoothing": ("smoothing\t", "smoothing\tnan"),
+    "negative_smoothing": ("smoothing\t", "smoothing\t-3"),
+    "zero_smoothing": ("smoothing\t", "smoothing\t0"),
+    "vocab_size_negative": ("vocab_size\t", "vocab_size\t-7"),
+    "vocab_size_too_large": ("vocab_size\t", "vocab_size\t9999"),
 }
 
 

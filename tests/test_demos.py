@@ -27,7 +27,9 @@ def test_pipeline_tour_sharded_merge_matches():
     assert "sharded merge equals single pass: True" in proc.stdout
 
 
-@pytest.mark.parametrize("name", ["contagion_metrics.py", "classifier_agreement.py"])
+@pytest.mark.parametrize(
+    "name", ["contagion_metrics.py", "classifier_agreement.py", "forecast_walkthrough.py"]
+)
 def test_demo_exits_zero(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr

@@ -2,15 +2,24 @@
 
 scipy.stats appears here only as the reference oracle for the hand-written
 densities; the library itself never calls it, so the two routes stay
-independent.
+independent.  The one-state-at-a-time model densities below are the
+reference the library's batched targets are checked against.
 """
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+from scipy.linalg import solve_triangular
 
 from contagion import forecast
 from contagion.forecast import (
@@ -21,7 +30,14 @@ from contagion.forecast import (
     YearObservations,
 )
 
-from conftest import TREND_YEARS, trend_rows, trend_truth
+from conftest import (
+    REPO,
+    TREND_YEARS,
+    lkj_marginal_cdf,
+    sample_lkj_correlation,
+    skewnorm_mean,
+    trend_rows,
+)
 
 GRID = np.linspace(-6.0, 8.0, 301)
 POSGRID = np.linspace(1e-3, 12.0, 301)
@@ -80,7 +96,7 @@ def test_skewnorm_zero_shape_is_normal():
 
 def test_skewnorm_mean_formula():
     for loc, scale, shape in [(5.0, 0.3, 1.0), (0.0, 1.0, -2.0), (2.0, 2.0, 0.0)]:
-        assert forecast.skewnorm_mean(loc, scale, shape) == pytest.approx(
+        assert skewnorm_mean(loc, scale, shape) == pytest.approx(
             st.skewnorm.mean(a=shape, loc=loc, scale=scale), abs=1e-12
         )
 
@@ -107,29 +123,68 @@ def test_sample_skewnorm_mean_within_three_se():
     loc, scale, shape, n = 5.0, 0.5, 1.0, 200_000
     draws = forecast.sample_skewnorm(rng, loc, scale, shape, size=n)
     se = st.skewnorm.std(a=shape, loc=loc, scale=scale) / math.sqrt(n)
-    assert abs(draws.mean() - forecast.skewnorm_mean(loc, scale, shape)) < 3 * se
+    assert abs(draws.mean() - skewnorm_mean(loc, scale, shape)) < 3 * se
 
 
 def test_sample_lkj_distribution():
-    r = forecast.sample_lkj_correlation(2.0, 100_000, seed=42)
+    r = sample_lkj_correlation(2.0, 100_000, seed=42)
     assert r.shape == (100_000,)
     assert np.all(np.abs(r) < 1.0)
     grid = np.sort(r)
     ecdf = np.arange(1, len(grid) + 1) / len(grid)
-    ks = np.max(np.abs(ecdf - forecast.lkj_marginal_cdf(grid, 2.0)))
+    ks = np.max(np.abs(ecdf - lkj_marginal_cdf(grid, 2.0)))
     assert ks < 0.02
 
 
 def test_lkj_marginal_cdf_shape():
-    assert forecast.lkj_marginal_cdf(np.array([-1.0]))[0] == pytest.approx(0.0, abs=1e-12)
-    assert forecast.lkj_marginal_cdf(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
-    assert forecast.lkj_marginal_cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-12)
+    assert lkj_marginal_cdf(np.array([-1.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert lkj_marginal_cdf(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert lkj_marginal_cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-12)
     grid = np.linspace(-1, 1, 101)
-    cdf = forecast.lkj_marginal_cdf(grid)
+    cdf = lkj_marginal_cdf(grid)
     assert np.all(np.diff(cdf) >= 0)
 
 
 # -- model densities -----------------------------------------------------------
+
+
+def log_prior(z: GlmState) -> float:
+    if z.tau <= 0 or z.b <= 0:
+        return -math.inf
+    return float(
+        forecast.norm_logpdf(z.mu, 5.0, 1.0)
+        + forecast.gamma_logpdf(z.tau, 10.0, 1.0)
+        + forecast.norm_logpdf(z.alpha, 1.0, 1.0)
+        + forecast.norm_logpdf(z.beta0, 0.0, 1.0)
+        + forecast.norm_logpdf(z.beta1, 0.0, 1.0)
+        + forecast.invgamma_logpdf(z.b, 6.0, 1.0)
+    )
+
+
+def log_likelihood(z: GlmState, obs: YearObservations) -> float:
+    if not obs.points:
+        return 0.0
+    x, r = obs.columns
+    omega = z.tau ** -0.5
+    volume_term = forecast.skewnorm_logpdf(x, z.mu, omega, z.alpha)
+    glm_term = forecast.laplace_logpdf(r, z.beta0 + z.beta1 * x, z.b)
+    return float(np.sum(volume_term) + np.sum(glm_term))
+
+
+def log_posterior(z: GlmState, obs: YearObservations) -> float:
+    lp = log_prior(z)
+    if lp == -math.inf:
+        return lp
+    return lp + log_likelihood(z, obs)
+
+
+def _year_log_target_reference(w: np.ndarray, obs: YearObservations) -> float:
+    """Stage-1 target of one state, one year: the reference for the batch."""
+    mu, log_tau, alpha, beta0, beta1, log_b = w
+    if abs(log_tau) > 500 or abs(log_b) > 500:
+        return -math.inf
+    z = GlmState(mu, math.exp(log_tau), alpha, beta0, beta1, math.exp(log_b))
+    return log_posterior(z, obs) + log_tau + log_b
 
 
 def _state(**kw):
@@ -162,7 +217,7 @@ def test_log_prior_oracle():
         + st.norm.logpdf(z.beta1, 0.0, 1.0)
         + st.invgamma.logpdf(z.b, a=6.0, scale=1.0)
     )
-    assert forecast.log_prior(z) == pytest.approx(ref, abs=1e-10)
+    assert log_prior(z) == pytest.approx(ref, abs=1e-10)
 
 
 def test_log_likelihood_oracle():
@@ -176,9 +231,9 @@ def test_log_likelihood_oracle():
     omega = z.tau ** -0.5
     ref = np.sum(st.skewnorm.logpdf(x, a=z.alpha, loc=z.mu, scale=omega))
     ref += np.sum(st.laplace.logpdf(r, loc=z.beta0 + z.beta1 * x, scale=z.b))
-    assert forecast.log_likelihood(z, obs) == pytest.approx(float(ref), abs=1e-8)
-    assert forecast.log_posterior(z, obs) == pytest.approx(
-        forecast.log_prior(z) + forecast.log_likelihood(z, obs), abs=1e-12
+    assert log_likelihood(z, obs) == pytest.approx(float(ref), abs=1e-8)
+    assert log_posterior(z, obs) == pytest.approx(
+        log_prior(z) + log_likelihood(z, obs), abs=1e-12
     )
 
 
@@ -186,9 +241,51 @@ def test_point_on_regression_line_hits_laplace_peak():
     z = _state(beta0=0.1, beta1=0.05, b=0.03)
     x = 5.2
     obs = YearObservations(2019, ((x, z.beta0 + z.beta1 * x),))
-    ll = forecast.log_likelihood(z, obs)
+    ll = log_likelihood(z, obs)
     skew = float(forecast.skewnorm_logpdf(x, z.mu, z.tau ** -0.5, z.alpha))
     assert ll - skew == pytest.approx(-math.log(2 * z.b), abs=1e-12)
+
+
+_YEAR_POINTS = hs.lists(
+    hs.tuples(hs.floats(-5.0, 12.0), hs.floats(1e-6, 1.0 - 1e-6)), max_size=12
+)
+# log tau and log b reach past the |log| > 500 guard on both sides
+_GLM_ROWS = hs.lists(
+    hs.tuples(
+        hs.floats(-20.0, 30.0),
+        hs.floats(-600.0, 600.0),
+        hs.floats(-20.0, 20.0),
+        hs.floats(-10.0, 10.0),
+        hs.floats(-10.0, 10.0),
+        hs.floats(-600.0, 600.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(years=hs.lists(_YEAR_POINTS, min_size=1, max_size=4), rows=_GLM_ROWS)
+@example(  # on and just past the guard
+    years=[[(4.0, 0.5)]],
+    rows=[(5.0, 500.0, 1.0, 0.0, 0.0, -500.0), (5.0, 500.5, 1.0, 0.0, 0.0, 0.0),
+          (5.0, 0.0, 1.0, 0.0, 0.0, -500.5)],
+)
+def test_year_log_target_matches_reference(years, rows):
+    # ragged and empty years share one padded batch; row k reads year k mod n
+    observations = tuple(
+        YearObservations(2000 + i, tuple(points)) for i, points in enumerate(years)
+    )
+    w = np.array(rows)
+    year_of_row = np.arange(len(w)) % len(observations)
+    x, r, has_point = (a[year_of_row] for a in forecast._padded_columns(observations))
+    got = forecast._year_log_target(w, x, r, has_point)
+    for k, row in enumerate(w):
+        ref = _year_log_target_reference(row, observations[year_of_row[k]])
+        if ref == -math.inf:
+            assert got[k] == -math.inf
+        else:
+            assert got[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # -- observation plumbing ------------------------------------------------------
@@ -279,8 +376,8 @@ def test_pseudo_observations_mean_and_order():
 def test_sample_posterior_deterministic():
     obs = forecast.year_observations(2019, [(5.0, 0.4), (4.8, 0.35), (5.2, 0.5)])
     cfg = SamplerConfig(seed=3, chains=1, warmup=200, draws=1000)
-    a = forecast.sample_posterior(obs, cfg)
-    b = forecast.sample_posterior(obs, cfg)
+    (a,) = forecast.sample_posterior((obs,), cfg)
+    (b,) = forecast.sample_posterior((obs,), cfg)
     for k in forecast.PARAM_NAMES:
         assert np.array_equal(a.draws[k], b.draws[k])
     assert a.acceptance == b.acceptance
@@ -289,15 +386,20 @@ def test_sample_posterior_deterministic():
 def test_sample_posterior_prior_dominance():
     obs = forecast.year_observations(2019, [(5.0, 0.5)])
     cfg = SamplerConfig(seed=4, chains=2, warmup=1000, draws=1000)
-    out = forecast.sample_posterior(obs, cfg)
+    (out,) = forecast.sample_posterior((obs,), cfg)
     assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
 
 
 def test_sample_posterior_without_points_samples_prior():
-    obs = YearObservations(2019, ())
+    # the empty year shares its batch with a year of points, so it is all padding
+    empty = YearObservations(2019, ())
+    full = forecast.year_observations(2020, [(3.0 + 0.01 * i, 0.4) for i in range(50)])
     cfg = SamplerConfig(seed=5, chains=2, warmup=1000, draws=1000)
-    out = forecast.sample_posterior(obs, cfg)
+    out, other = forecast.sample_posterior((empty, full), cfg)
+    assert (out.year, other.year) == (2019, 2020)
+    assert len(out.acceptance) == len(other.acceptance) == 2
     assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
+    assert float(np.mean(other.draws["mu"])) < 4.0
 
 
 def test_sample_posterior_synthetic_recovery():
@@ -311,12 +413,33 @@ def test_sample_posterior_synthetic_recovery():
     r = truth.beta0 + truth.beta1 * x + rng.laplace(0.0, truth.b, 500)
     obs = YearObservations(2019, tuple((float(a), float(c)) for a, c in zip(x, r)))
     cfg = SamplerConfig(seed=1, chains=2, warmup=2000, draws=1000)
-    out = forecast.sample_posterior(obs, cfg)
+    (out,) = forecast.sample_posterior((obs,), cfg)
     mean = float(np.mean(out.draws["beta1"]))
     sd = float(np.std(out.draws["beta1"]))
     assert abs(mean - truth.beta1) <= 3 * sd
     assert all(0.1 <= rate <= 0.6 for rate in out.acceptance)
     assert out.warnings == ()
+
+
+def test_failed_shape_refresh_keeps_that_row_only():
+    # row 1 moves both coordinates together by 2**40: its covariance is
+    # exactly rank one at a scale where the 1e-12 jitter vanishes, so its
+    # Cholesky factorisation fails
+    rng = np.random.default_rng(16)
+    recent = rng.standard_normal((3, 3, 2))
+    big = 2.0**40
+    recent[:, 1, :] = np.array([big, -big, 0.0])[:, None]
+    prop_chol = np.tile(np.array([[2.0, 0.0], [0.5, 1.0]]), (3, 1, 1))
+    log_step = np.array([-1.0, -2.0, -3.0])
+    rm_clock = np.array([7.0, 8.0, 9.0])
+    kept = prop_chol[1].copy()
+    forecast._refresh_shapes(recent, prop_chol, log_step, rm_clock)
+    assert np.array_equal(prop_chol[1], kept)
+    assert (log_step[1], rm_clock[1]) == (-2.0, 8.0)
+    for i in (0, 2):
+        cov = np.cov(recent[:, i].T)
+        assert np.allclose(prop_chol[i] @ prop_chol[i].T, cov, rtol=1e-9, atol=1e-9)
+        assert (log_step[i], rm_clock[i]) == (math.log(2.38 / math.sqrt(2)), 0.0)
 
 
 def test_acceptance_warning_thresholds():
@@ -328,25 +451,98 @@ def test_acceptance_warning_thresholds():
 # -- walk stage ------------------------------------------------------------------
 
 
+def _chol_from_free_reference(y: np.ndarray, dim: int):
+    """One correlation Cholesky factor, row by row; None outside the unit ball."""
+    l_r = np.zeros((dim, dim))
+    l_r[0, 0] = 1.0
+    idx = 0
+    for i in range(1, dim):
+        row = y[idx : idx + i]
+        idx += i
+        ss = float(np.dot(row, row))
+        if ss >= 1.0:
+            return None
+        l_r[i, :i] = row
+        l_r[i, i] = math.sqrt(1.0 - ss)
+    return l_r
+
+
+def _walk_log_target_reference(
+    w: np.ndarray, increments: np.ndarray, dim: int, eta: float
+) -> float:
+    """Walk target of one state: the reference for the batch."""
+    log_sigma = w[:dim]
+    if np.any(np.abs(log_sigma) > 500):
+        return -math.inf
+    sigma = np.exp(log_sigma)
+    l_r = _chol_from_free_reference(w[dim:], dim)
+    if l_r is None:
+        return -math.inf
+
+    log_det_r = 2.0 * float(np.sum(np.log(np.diag(l_r))))
+    lp = float(np.sum(forecast.lognormal_logpdf(sigma, 0.0, 1.0)))
+    lp += float(np.sum(log_sigma))  # Jacobian of the log transform
+    lp += (eta - 1.0) * log_det_r
+
+    if increments.shape[0]:
+        chol = sigma[:, None] * l_r  # Cholesky of Sigma
+        log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        u = solve_triangular(chol, increments.T, lower=True)
+        quad = float(np.sum(u * u))
+        n_steps = increments.shape[0]
+        lp += -0.5 * (n_steps * (dim * math.log(2.0 * math.pi) + log_det_sigma) + quad)
+    return lp
+
+
 def test_chol_from_free_rows_unit_norm():
-    y = np.array([0.3, -0.2, 0.5])
-    l_r = forecast._chol_from_free(y, 3)
-    assert l_r is not None
-    recon = l_r @ l_r.T
+    y = np.array([[0.3, -0.2, 0.5], [1.2, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    l_r, valid = forecast._chol_from_free(y, 3)
+    assert valid.tolist() == [True, False, False]  # the unit sphere is outside
+    recon = l_r[0] @ l_r[0].T
     assert np.allclose(np.diag(recon), 1.0, atol=1e-12)
-    assert forecast._chol_from_free(np.array([1.2, 0.0, 0.0]), 3) is None
+    assert np.allclose(l_r[0], _chol_from_free_reference(y[0], 3), rtol=0.0, atol=1e-15)
+    assert _chol_from_free_reference(y[1], 3) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hs.data())
+def test_walk_log_target_matches_reference(data):
+    # free entries up to 0.8 put many rows outside the unit ball, and
+    # log sigma reaches past the |log| > 500 guard: both give -inf
+    dim = data.draw(hs.integers(1, 6))
+    n_rows = data.draw(hs.integers(1, 5))
+    log_sigma = hs.one_of(hs.floats(-30.0, 30.0), hs.sampled_from([-501.0, 700.0]))
+    rows = [
+        data.draw(hs.lists(log_sigma, min_size=dim, max_size=dim))
+        + data.draw(hs.lists(hs.floats(-0.8, 0.8), min_size=dim * (dim - 1) // 2,
+                             max_size=dim * (dim - 1) // 2))
+        for _ in range(n_rows)
+    ]
+    n_steps = data.draw(hs.integers(0, 5))
+    flat = data.draw(hs.lists(hs.floats(-3.0, 3.0), min_size=n_steps * dim,
+                              max_size=n_steps * dim))
+    increments = np.array(flat).reshape(n_steps, dim)
+    eta = data.draw(hs.sampled_from([1.0, 2.0, 3.5]))
+    w = np.array(rows).reshape(n_rows, -1)
+    got = forecast._walk_log_target(w, increments, dim, eta)
+    for k, row in enumerate(w):
+        ref = _walk_log_target_reference(row, increments, dim, eta)
+        if ref == -math.inf:
+            assert got[k] == -math.inf
+        else:
+            assert got[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_walk_target_lkj_term():
     # eta enters only through (eta-1) * log det R; at R = I the term is zero
     inc = np.zeros((0, 2))
     w0 = np.array([0.0, 0.0, 0.0])  # log sigma = 0, r = 0
-    t2 = forecast._walk_log_target(w0, inc, 2, eta=2.0)
-    t1 = forecast._walk_log_target(w0, inc, 2, eta=1.0)
+    t2 = forecast._walk_log_target(w0[None], inc, 2, eta=2.0)[0]
+    t1 = forecast._walk_log_target(w0[None], inc, 2, eta=1.0)[0]
     assert t2 == pytest.approx(t1, abs=1e-12)
-    w = np.array([0.0, 0.0, 0.6])
-    diff = (forecast._walk_log_target(w, inc, 2, eta=2.0)
-            - forecast._walk_log_target(w, inc, 2, eta=1.0))
+    w = np.array([[0.0, 0.0, 0.6]])
+    diff = (forecast._walk_log_target(w, inc, 2, eta=2.0)[0]
+            - forecast._walk_log_target(w, inc, 2, eta=1.0)[0])
     assert diff == pytest.approx(math.log(1 - 0.6 ** 2), abs=1e-12)
 
 
@@ -358,7 +554,7 @@ def test_walk_target_likelihood_oracle():
     inc = rng.multivariate_normal(np.zeros(2), cov, size=6)
     r = 0.4
     w = np.concatenate([np.log(sigma), [r]])
-    ours = forecast._walk_log_target(w, inc, 2, eta=2.0)
+    ours = forecast._walk_log_target(w[None], inc, 2, eta=2.0)[0]
     ref = np.sum(st.multivariate_normal.logpdf(inc, mean=np.zeros(2), cov=cov))
     ref += np.sum(st.lognorm.logpdf(sigma, s=1.0, scale=1.0))
     ref += np.sum(np.log(sigma))  # log-sigma sampling Jacobian
@@ -375,7 +571,7 @@ def test_walk_prior_marginal_matches_lkj():
     r = walk.chol_corr[:, 1, 0]
     grid = np.sort(r)
     ecdf = np.arange(1, len(grid) + 1) / len(grid)
-    ks = np.max(np.abs(ecdf - forecast.lkj_marginal_cdf(grid, 2.0)))
+    ks = np.max(np.abs(ecdf - lkj_marginal_cdf(grid, 2.0)))
     assert ks < 0.03
 
 
@@ -403,12 +599,14 @@ def test_walk_params_reconstruction():
     inc = rng.normal(0.0, 0.5, size=(8, 2))
     walk = forecast._fit_walk_from_increments(inc, cfg, 2)
     for i in range(0, walk.size, 100):
-        p = walk.params(i)
-        sigma_mat = np.diag(p.sigma)
-        target = sigma_mat @ p.corr @ sigma_mat
-        assert np.max(np.abs(p.chol @ p.chol.T - target)) < 1e-9
-        assert np.allclose(np.diag(p.corr), 1.0, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(p.corr) > 0)
+        sigma, l_r = walk.sigma[i], walk.chol_corr[i]
+        corr = l_r @ l_r.T
+        chol = sigma[:, None] * l_r
+        sigma_mat = np.diag(sigma)
+        target = sigma_mat @ corr @ sigma_mat
+        assert np.max(np.abs(chol @ chol.T - target)) < 1e-9
+        assert np.allclose(np.diag(corr), 1.0, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(corr) > 0)
 
 
 # -- forecasting -------------------------------------------------------------------
@@ -505,3 +703,33 @@ def test_pipeline_end_to_end_deterministic_and_json_ready():
     # pseudo-observations are the componentwise posterior means
     for state, fit in zip(first.pseudo, first.fits):
         assert state == fit.mean_state()
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs RUSAGE_THREAD")
+def test_forecast_pipeline_leaves_blas_helper_threads_idle():
+    # CPU time of the process minus the calling thread's, around one
+    # pipeline call: the BLAS helper threads are the only other threads
+    script = textwrap.dedent("""
+        import resource
+        from contagion import forecast
+
+        def other_threads_cpu():
+            proc = resource.getrusage(resource.RUSAGE_SELF)
+            own = resource.getrusage(resource.RUSAGE_THREAD)
+            return proc.ru_utime + proc.ru_stime - own.ru_utime - own.ru_stime
+
+        rows = [(year, "en", 4.0 + 0.01 * i, 0.2 + 0.004 * i)
+                for year in range(2015, 2019) for i in range(100)]
+        config = forecast.SamplerConfig(seed=1, chains=2, warmup=1000, draws=500)
+        before = other_threads_cpu()
+        forecast.forecast_pipeline(rows, config)
+        print(other_threads_cpu() - before)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.05

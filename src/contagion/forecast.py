@@ -30,7 +30,8 @@ the rows of an array, every (year, chain) pair of stage 1 in one batch
 and every walk chain in another.  Densities are written out by hand
 (only scipy.special primitives) so each term is auditable against the
 model statement above; they broadcast, so each batched target is one
-call per term.
+call per term.  scipy.special is imported inside the densities that use
+it, so importing this module (and every CLI command) does not load scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
 
 PARAM_NAMES = ("mu", "tau", "alpha", "beta0", "beta1", "b")
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -65,6 +65,8 @@ def norm_logpdf(x, mean, sd):
 
 def gamma_logpdf(x, shape: float, rate: float):
     """Gamma in the (shape, rate) convention: mean = shape / rate."""
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, -np.inf)
     ok = x > 0
@@ -80,6 +82,8 @@ def gamma_logpdf(x, shape: float, rate: float):
 
 def invgamma_logpdf(x, shape: float, scale: float):
     """Inverse-Gamma in the (shape, scale) convention: mode = scale/(shape+1)."""
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, -np.inf)
     ok = x > 0
@@ -110,6 +114,8 @@ def lognormal_logpdf(x, mean: float, sd: float):
 
 def skewnorm_logpdf(x, loc, scale, shape):
     """log of 2/scale * phi((x-loc)/scale) * Phi(shape*(x-loc)/scale)."""
+    from scipy.special import log_ndtr
+
     z = (np.asarray(x, dtype=float) - loc) / scale
     return (
         math.log(2.0)
@@ -267,6 +273,8 @@ class SamplerConfig:
             raise ValueError("seed must be nonnegative")
         if self.chains < 1 or self.warmup < 0 or self.draws < 1:
             raise ValueError("bad sampler size settings")
+        if self.chains * self.draws < 1000:
+            raise ValueError("need at least 1000 post-warmup draws")
         if not (0.0 < self.target_accept < 1.0):
             raise ValueError("target_accept must be in (0, 1)")
         if self.eta <= 0 or self.points_per_draw < 1:

@@ -27,6 +27,7 @@ from .tally import (
     AGGREGATORS,
     RESOLUTIONS,
     BucketedSeries,
+    Cell,
     TallyStore,
     rebucket,
 )
@@ -112,8 +113,7 @@ def daily_series(
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
     return tuple(
-        (c.date, _daily_metric(c.f_ot, c.f_rt, metric))
-        for c in store.daily_counts(language)
+        (date, _daily_metric(f_ot, f_rt, metric)) for date, f_ot, f_rt in store.cells(language)
     )
 
 
@@ -137,19 +137,24 @@ def aggregate_metric(
         raise ValueError("unknown method %r" % method)
     if resolution not in RESOLUTIONS:
         raise ValueError("unknown resolution %r" % resolution)
+    return _bucket_cells(store.cells(language), resolution, metric, method)
 
-    cells = store.daily_counts(language)
+
+def _bucket_cells(
+    cells: Sequence[Cell], resolution: str, metric: str, method: str
+) -> BucketedSeries:
+    """aggregate_metric over one language's (date, f_ot, f_rt) cells."""
     if not cells:
         return BucketedSeries(resolution, ())
 
     if method == "mean_of_daily":
-        daily = [(c.date, _daily_metric(c.f_ot, c.f_rt, metric)) for c in cells]
+        daily = [(date, _daily_metric(f_ot, f_rt, metric)) for date, f_ot, f_rt in cells]
         return rebucket(daily, resolution, "mean")
 
     # ratio_of_sums: fold counts into buckets first.  Reuse rebucket's sum
     # path per component so bucket alignment stays in one place.
-    ot_sums = rebucket([(c.date, float(c.f_ot)) for c in cells], resolution, "sum")
-    rt_sums = rebucket([(c.date, float(c.f_rt)) for c in cells], resolution, "sum")
+    ot_sums = rebucket([(date, f_ot) for date, f_ot, _ in cells], resolution, "sum")
+    rt_sums = rebucket([(date, f_rt) for date, _, f_rt in cells], resolution, "sum")
     points = []
     for (start, f_ot), (_, f_rt) in zip(ot_sums.points, rt_sums.points):
         if f_ot is None and f_rt is None:
@@ -168,9 +173,9 @@ def rank_table(
     start, end = period
     totals: dict[str, int] = {}
     for lang in store.languages():
-        for cell in store.daily_counts(lang):
-            if (start is None or cell.date >= start) and (end is None or cell.date <= end):
-                totals[lang] = totals.get(lang, 0) + cell.f_at
+        for date, f_ot, f_rt in store.cells(lang):
+            if (start is None or date >= start) and (end is None or date <= end):
+                totals[lang] = totals.get(lang, 0) + f_ot + f_rt
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = tuple(
         RankRow(rank, lang, count) for rank, (lang, count) in enumerate(ordered, 1)
@@ -211,12 +216,13 @@ def annual_glm_table(
     a language's annual ratio scales with its volume.  Language-years with
     zero volume or an undefined ratio are dropped.
     """
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % method)
     rows = []
     for lang in store.languages():
-        series = aggregate_metric(store, lang, "year", "ratio", method)
-        volume = rebucket(
-            [(c.date, c.f_at) for c in store.daily_counts(lang)], "year", "sum"
-        )
+        cells = store.cells(lang)
+        series = _bucket_cells(cells, "year", "ratio", method)
+        volume = rebucket([(date, f_ot + f_rt) for date, f_ot, f_rt in cells], "year", "sum")
         for (start, ratio), (_, n_at) in zip(series.points, volume.points):
             if ratio is None or not n_at:
                 continue

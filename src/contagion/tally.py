@@ -20,9 +20,11 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Tuple
 
-from .ingest import OT, RT, CategorizedMessage, ParseStats, categorize, parse_ndjson
+from .ingest import OT, CategorizedMessage, ParseStats, categorize, parse_ndjson
 
 RESOLUTIONS = ("day", "week", "month", "quarter", "year")
 AGGREGATORS = ("mean", "sum")
@@ -30,6 +32,7 @@ AGGREGATORS = ("mean", "sum")
 CSV_HEADER = ("date", "language", "f_ot", "f_rt")
 
 DailyPoint = Tuple[dt.date, Optional[float]]
+Cell = Tuple[dt.date, int, int]
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,26 @@ class TallyStore:
         return self.entries == other.entries and self.errors == other.errors
 
     def add(self, date: dt.date, language: str, category: str, n: int = 1) -> None:
-        if n < 0:
+        if category == OT:
+            self.add_counts(date, language, n, 0)
+        else:
+            self.add_counts(date, language, 0, n)
+
+    def add_counts(self, date: dt.date, language: str, f_ot: int, f_rt: int) -> None:
+        """Add (f_ot, f_rt) to one cell; a (0, 0) increment stores nothing."""
+        if f_ot < 0 or f_rt < 0:
             raise ValueError("count increments must be nonnegative")
-        if n == 0:
+        if not (f_ot or f_rt):
             return
         days = self.entries.get(language)
         if days is None:
             days = self.entries[language] = {}
-        cell = days.setdefault(date, [0, 0])
-        cell[0 if category == OT else 1] += n
+        cell = days.get(date)
+        if cell is None:
+            days[date] = [f_ot, f_rt]
+        else:
+            cell[0] += f_ot
+            cell[1] += f_rt
 
     def count_error(self, key: str, n: int = 1) -> None:
         if n:
@@ -126,10 +140,16 @@ class TallyStore:
         for date, lang, (f_ot, f_rt) in cells:
             yield DayTally(date, lang, f_ot, f_rt)
 
-    def daily_counts(self, language: str) -> Tuple[DayTally, ...]:
-        """This language's cells only, sorted by date."""
+    def cells(self, language: str) -> list[Cell]:
+        """This language's cells only, as plain (date, f_ot, f_rt) tuples sorted by date."""
         days = self.entries.get(language, {})
-        return tuple(DayTally(date, language, *days[date]) for date in sorted(days))
+        return [(date, f_ot, f_rt) for date, (f_ot, f_rt) in sorted(days.items())]
+
+    def daily_counts(self, language: str) -> Tuple[DayTally, ...]:
+        """This language's cells only, as DayTally records sorted by date."""
+        return tuple(
+            DayTally(date, language, f_ot, f_rt) for date, f_ot, f_rt in self.cells(language)
+        )
 
     def total_messages(self) -> int:
         return sum(f_ot + f_rt for days in self.entries.values() for f_ot, f_rt in days.values())
@@ -200,20 +220,23 @@ def load_csv(fh: TextIO, source: str = "") -> TallyStore:
     if tuple(header) != CSV_HEADER:
         raise ValueError("bad tally header: %r" % (header,))
     store = TallyStore(source=source)
+    dates: dict[str, dt.date] = {}  # every language repeats each day's string
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
             raise ValueError("line %d: expected 4 fields, got %d" % (lineno, len(row)))
+        day, language, ot, rt = row
         try:
-            date = dt.date.fromisoformat(row[0])
-            f_ot, f_rt = int(row[2]), int(row[3])
+            date = dates.get(day)
+            if date is None:
+                date = dates[day] = dt.date.fromisoformat(day)
+            f_ot, f_rt = int(ot), int(rt)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
         if f_ot < 0 or f_rt < 0:
             raise ValueError("line %d: negative count" % lineno)
-        store.add(date, row[1], OT, f_ot)
-        store.add(date, row[1], RT, f_rt)
+        store.add_counts(date, language, f_ot, f_rt)
     return store
 
 
@@ -237,20 +260,20 @@ def bucket_start(date: dt.date, resolution: str) -> dt.date:
     raise ValueError("unknown resolution %r" % resolution)
 
 
-def _next_bucket(start: dt.date, resolution: str) -> dt.date:
-    if resolution == "day":
-        return start + dt.timedelta(days=1)
-    if resolution == "week":
-        return start + dt.timedelta(days=7)
-    if resolution == "month":
-        year, month = divmod(start.month, 12)
-        return dt.date(start.year + year, month + 1, 1)
-    if resolution == "quarter":
-        year, month0 = divmod(start.month - 1 + 3, 12)
-        return dt.date(start.year + year, month0 + 1, 1)
-    if resolution == "year":
-        return dt.date(start.year + 1, 1, 1)
-    raise ValueError("unknown resolution %r" % resolution)
+# resolution -> (integer key of a day's bucket, aligned start of a key's
+# bucket).  Keys of consecutive buckets are consecutive integers, and each
+# start agrees with bucket_start.  Ordinal 1 (0001-01-01) is a Monday, so
+# weekday() == (toordinal() - 1) % 7 and ISO weeks are runs of 7 ordinals.
+_BUCKET_KEYS: dict[str, Tuple[Callable[[dt.date], int], Callable[[int], dt.date]]] = {
+    "day": (dt.date.toordinal, dt.date.fromordinal),
+    "week": (lambda d: (d.toordinal() - 1) // 7, lambda k: dt.date.fromordinal(7 * k + 1)),
+    "month": (lambda d: d.year * 12 + d.month - 1, lambda k: dt.date(k // 12, k % 12 + 1, 1)),
+    "quarter": (
+        lambda d: d.year * 4 + (d.month - 1) // 3,
+        lambda k: dt.date(k // 4, 3 * (k % 4) + 1, 1),
+    ),
+    "year": (attrgetter("year"), lambda k: dt.date(k, 1, 1)),
+}
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -277,27 +300,22 @@ def rebucket(
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValueError("daily series must be strictly increasing in date")
 
-    grouped: dict[dt.date, list[float]] = {}
-    for date, value in series:
-        if value is None:
-            continue
-        grouped.setdefault(bucket_start(date, resolution), []).append(float(value))
-
+    # a sorted series visits each bucket in one run of equal keys
+    key_of, start_of = _BUCKET_KEYS[resolution]
     points = []
-    start = bucket_start(dates[0], resolution)
-    stop = bucket_start(dates[-1], resolution)
-    while True:
-        values = grouped.get(start)
+    next_key = key_of(dates[0])
+    keyed = zip(map(key_of, dates), (value for _, value in series))
+    for key, run in groupby(keyed, itemgetter(0)):
+        points.extend((start_of(k), None) for k in range(next_key, key))
+        values = [float(value) for _, value in run if value is not None]
         if not values:
             agg: Optional[float] = None
         elif aggregator == "mean":
             agg = _mean(values)
         else:
             agg = math.fsum(values)
-        points.append((start, agg))
-        if start == stop:
-            break
-        start = _next_bucket(start, resolution)
+        points.append((start_of(key), agg))
+        next_key = key + 1
     return BucketedSeries(resolution, tuple(points))
 
 

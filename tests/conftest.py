@@ -1,13 +1,17 @@
 """Shared fixtures: paths, the synthetic trend used by the forecast tests,
-and the closed forms those tests check the sampler against."""
+the closed forms those tests check the sampler against, arbitrary tally
+stores, and the dict-based rebucket the calendar tests check against."""
 
+import datetime as dt
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as hs
 
-from contagion import forecast
+from contagion import forecast, tally
+from contagion.ingest import OT, RT
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -97,3 +101,77 @@ def annual_tally_csv() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def glm_input_csv() -> pathlib.Path:
     return FIXTURES / "glm_input_2009_2019.csv"
+
+
+# -- tally stores and the reference rebucket ------------------------------------
+
+
+def store_from(cells, errors) -> tally.TallyStore:
+    """A store built through add: cells are (date, language, f_ot, f_rt)."""
+    store = tally.TallyStore()
+    for date, lang, f_ot, f_rt in cells:
+        store.add(date, lang, OT, f_ot)
+        store.add(date, lang, RT, f_rt)
+    for key, n in errors.items():
+        store.count_error(key, n)
+    return store
+
+
+def tally_stores(dates):
+    """Arbitrary stores with cell dates drawn from `dates`: zero increments
+    (which must leave nothing behind), repeated cells and CSV-hostile
+    language codes."""
+    return hs.builds(
+        store_from,
+        hs.lists(
+            hs.tuples(
+                dates,
+                hs.text(alphabet='ez,"_ ', max_size=3),
+                hs.integers(0, 3),
+                hs.integers(0, 3),
+            ),
+            max_size=20,
+        ),
+        hs.dictionaries(hs.sampled_from(["bad_json", "bad_record"]), hs.integers(1, 3)),
+    )
+
+
+def _reference_next_bucket(start: dt.date, resolution: str) -> dt.date:
+    if resolution == "day":
+        return start + dt.timedelta(days=1)
+    if resolution == "week":
+        return start + dt.timedelta(days=7)
+    if resolution == "month":
+        year, month = divmod(start.month, 12)
+        return dt.date(start.year + year, month + 1, 1)
+    if resolution == "quarter":
+        year, month0 = divmod(start.month - 1 + 3, 12)
+        return dt.date(start.year + year, month0 + 1, 1)
+    return dt.date(start.year + 1, 1, 1)
+
+
+def reference_rebucket(series, resolution: str, aggregator: str = "mean"):
+    """rebucket as first written: values grouped in a dict keyed by
+    bucket_start, then buckets walked one _next_bucket step at a time."""
+    if not series:
+        return tally.BucketedSeries(resolution, ())
+    grouped = {}
+    for date, value in series:
+        if value is not None:
+            grouped.setdefault(tally.bucket_start(date, resolution), []).append(float(value))
+    points = []
+    start = tally.bucket_start(series[0][0], resolution)
+    stop = tally.bucket_start(series[-1][0], resolution)
+    while True:
+        values = grouped.get(start)
+        if not values:
+            agg = None
+        elif aggregator == "mean":
+            agg = math.fsum(values) / len(values)
+        else:
+            agg = math.fsum(values)
+        points.append((start, agg))
+        if start == stop:
+            break
+        start = _reference_next_bucket(start, resolution)
+    return tally.BucketedSeries(resolution, tuple(points))

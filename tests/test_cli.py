@@ -8,8 +8,12 @@ serialization (column order, float repr, trailing newline).
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +283,28 @@ def test_forecast_command_summary_and_draws(tmp_path):
     assert len(rows) - 1 == doc["forecast"]["n_draws"]
     for row in rows[1:3]:
         assert all(isinstance(float(v), float) for v in row)
+
+
+def test_forecast_too_few_draws_fails_before_sampling(tmp_path, capsys):
+    # 1 chain x 10 draws is rejected by the config, before 100k warmup steps
+    t0 = time.perf_counter()
+    assert run("forecast", "--in", GLM_INPUT, "--chains", "1", "--warmup", "100000",
+               "--draws", "10", "--out", str(tmp_path / "f.json")) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "error: need at least 1000 post-warmup draws\n"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.special loads on the first forecast density call, not at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = "import sys, contagion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_forecast_unknown_language_fails(tmp_path, capsys):

@@ -334,6 +334,10 @@ def test_sampler_config_validation():
         SamplerConfig(target_accept=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(eta=0.0)
+    # PosteriorSamples needs 1000 draws per year; fail before sampling
+    with pytest.raises(ValueError, match="need at least 1000 post-warmup draws"):
+        SamplerConfig(chains=3, draws=333)
+    assert SamplerConfig(chains=1, draws=1000).draws == 1000
 
 
 def _posterior(year=2019, n=1000, value=1.0):
@@ -708,9 +712,12 @@ def test_pipeline_end_to_end_deterministic_and_json_ready():
 @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs RUSAGE_THREAD")
 def test_forecast_pipeline_leaves_blas_helper_threads_idle():
     # CPU time of the process minus the calling thread's, around one
-    # pipeline call: the BLAS helper threads are the only other threads
+    # pipeline call: the BLAS helper threads are the only other threads.
+    # scipy.special loads before the window: loading its OpenBLAS spins a
+    # helper thread once, which is not the sampler's doing
     script = textwrap.dedent("""
         import resource
+        import scipy.special
         from contagion import forecast
 
         def other_threads_cpu():

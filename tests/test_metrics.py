@@ -5,10 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from contagion import metrics, tally
 from contagion.ingest import OT, RT
 from contagion.tally import TallyStore
+
+from conftest import reference_rebucket, tally_stores
 
 D = dt.date
 
@@ -221,3 +225,64 @@ def test_annual_glm_table(annual_tally_csv):
 def test_annual_glm_table_drops_undefined_years():
     store = _store([(D(2019, 1, 1), "en", 0, 10)])  # ratio undefined all year
     assert metrics.annual_glm_table(store) == ()
+
+
+# -- reference: the DayTally-based, two-read metric path ----------------------
+
+
+def _reference_aggregate_metric(store, language, resolution, metric, method):
+    cells = store.daily_counts(language)
+    if not cells:
+        return tally.BucketedSeries(resolution, ())
+    if method == "mean_of_daily":
+        daily = [(c.date, metrics._daily_metric(c.f_ot, c.f_rt, metric)) for c in cells]
+        return reference_rebucket(daily, resolution, "mean")
+    ot_sums = reference_rebucket([(c.date, float(c.f_ot)) for c in cells], resolution, "sum")
+    rt_sums = reference_rebucket([(c.date, float(c.f_rt)) for c in cells], resolution, "sum")
+    points = []
+    for (start, f_ot), (_, f_rt) in zip(ot_sums.points, rt_sums.points):
+        if f_ot is None and f_rt is None:
+            points.append((start, None))
+            continue
+        points.append((start, metrics._daily_metric(int(f_ot or 0), int(f_rt or 0), metric)))
+    return tally.BucketedSeries(resolution, tuple(points))
+
+
+def _reference_annual_glm_table(store, method):
+    rows = []
+    for lang in store.languages():
+        series = _reference_aggregate_metric(store, lang, "year", "ratio", method)
+        volume = reference_rebucket(
+            [(c.date, c.f_at) for c in store.daily_counts(lang)], "year", "sum"
+        )
+        for (start, ratio), (_, n_at) in zip(series.points, volume.points):
+            if ratio is None or not n_at:
+                continue
+            rows.append((start.year, lang, math.log10(n_at), ratio))
+    return tuple(sorted(rows))
+
+
+# days a store may span at each resolution, so the bucket walk stays short;
+# None: the whole calendar
+_SPAN_DAYS = {"day": 40, "week": 300, "month": 1500, "quarter": 4000, "year": None}
+
+
+def _stores_for(resolution):
+    span = _SPAN_DAYS[resolution]
+    if span is None:
+        return tally_stores(hs.dates())
+    return hs.dates().flatmap(lambda first: tally_stores(hs.dates(
+        first, D.fromordinal(min(first.toordinal() + span, D.max.toordinal()))
+    )))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=hs.data(), resolution=hs.sampled_from(tally.RESOLUTIONS))
+def test_metric_paths_match_reference_on_arbitrary_stores(data, resolution):
+    store = data.draw(_stores_for(resolution))
+    for method in metrics.METHODS:
+        for metric in metrics.METRICS:
+            for lang in store.languages() + ("absent",):
+                expected = _reference_aggregate_metric(store, lang, resolution, metric, method)
+                assert metrics.aggregate_metric(store, lang, resolution, metric, method) == expected
+        assert metrics.annual_glm_table(store, method) == _reference_annual_glm_table(store, method)

@@ -5,12 +5,14 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from contagion import tally
 from contagion.ingest import OT, RT, CategorizedMessage
 from contagion.tally import TallyStore
+
+from conftest import reference_rebucket, tally_stores
 
 D = dt.date
 
@@ -31,31 +33,8 @@ def _random_store(rnd: random.Random) -> TallyStore:
     return store
 
 
-def _store_from(cells, errors) -> TallyStore:
-    store = TallyStore()
-    for date, lang, f_ot, f_rt in cells:
-        store.add(date, lang, OT, f_ot)
-        store.add(date, lang, RT, f_rt)
-    for key, n in errors.items():
-        store.count_error(key, n)
-    return store
-
-
-# arbitrary stores: zero increments (which must leave nothing behind),
-# repeated cells, CSV-hostile language codes and the whole calendar
-_STORES = hs.builds(
-    _store_from,
-    hs.lists(
-        hs.tuples(
-            hs.one_of(hs.dates(D(2019, 1, 1), D(2019, 1, 5)), hs.dates()),
-            hs.text(alphabet='ez,"_ ', max_size=3),
-            hs.integers(0, 3),
-            hs.integers(0, 3),
-        ),
-        max_size=20,
-    ),
-    hs.dictionaries(hs.sampled_from(["bad_json", "bad_record"]), hs.integers(1, 3)),
-)
+# arbitrary stores over the whole calendar, with repeats made likely
+_STORES = tally_stores(hs.one_of(hs.dates(D(2019, 1, 1), D(2019, 1, 5)), hs.dates()))
 
 
 # -- accumulate --------------------------------------------------------------
@@ -195,6 +174,45 @@ def test_load_csv_rejects_malformed_row():
         tally.load_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2019-13-01,en,1,0", "line 4: month must be in 1..12"),
+        ("2019-01-02,en,x,0", "line 4: invalid literal for int() with base 10: 'x'"),
+        ("2019-01-02,en,0,-2", "line 4: negative count"),
+        ("2019-01-02,en,1,0,9", "line 4: expected 4 fields, got 5"),
+    ],
+)
+def test_load_csv_errors_name_the_line(row, message):
+    # line 3 is blank: it is skipped but still counted
+    text = "date,language,f_ot,f_rt\n2019-01-01,en,1,0\n\n%s\n" % row
+    with pytest.raises(ValueError) as info:
+        tally.load_csv(io.StringIO(text))
+    assert str(info.value) == message
+
+
+def test_load_csv_sums_duplicate_rows_into_one_cell():
+    text = "date,language,f_ot,f_rt\n2019-01-01,en,1,2\n2019-01-01,en,3,4\n"
+    store = tally.load_csv(io.StringIO(text))
+    assert store.entries == {"en": {D(2019, 1, 1): [4, 6]}}
+
+
+def test_load_csv_zero_row_leaves_nothing():
+    text = "date,language,f_ot,f_rt\n2019-01-01,th,0,0\n2019-01-02,en,0,0\n2019-01-02,th,1,0\n"
+    store = tally.load_csv(io.StringIO(text))
+    assert store.entries == {"th": {D(2019, 1, 2): [1, 0]}}
+    assert store.languages() == ("th",)
+
+
+def test_load_csv_same_day_cells_are_independent():
+    text = "date,language,f_ot,f_rt\n2019-01-01,en,1,0\n2019-01-01,th,0,2\n2019-01-01,en,0,5\n"
+    store = tally.load_csv(io.StringIO(text))
+    assert store.get(D(2019, 1, 1), "en") == (1, 5)
+    assert store.get(D(2019, 1, 1), "th") == (0, 2)
+    store.add(D(2019, 1, 1), "th", OT, 7)
+    assert store.get(D(2019, 1, 1), "en") == (1, 5)
+
+
 # -- calendar bucketing ------------------------------------------------------
 
 
@@ -257,6 +275,34 @@ def test_rebucket_validates_arguments():
     with pytest.raises(ValueError):
         tally.rebucket([], "month", "median")
     assert tally.rebucket([], "month").points == ()
+
+
+@hs.composite
+def _daily_series(draw):
+    """A strictly increasing series near an anchor anywhere in the calendar
+    (0001-01-01, 9999-12-31, and year ends with their ISO-week edges), with
+    gaps, None values and buckets that hold only None."""
+    anchor = draw(hs.one_of(
+        hs.dates(),
+        hs.sampled_from([D.min, D.max]),
+        hs.builds(lambda y, k: D(y, 12, 25) + dt.timedelta(k), hs.integers(1, 9998), hs.integers(0, 10)),
+    ))
+    offsets = draw(hs.lists(hs.integers(-1200, 1200), max_size=40))
+    ordinals = sorted({min(max(anchor.toordinal() + k, 1), D.max.toordinal()) for k in offsets})
+    values = hs.one_of(hs.none(), hs.integers(-10**6, 10**6), hs.floats(-1e6, 1e6))
+    return [(D.fromordinal(o), draw(values)) for o in ordinals]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    series=_daily_series(),
+    resolution=hs.sampled_from(tally.RESOLUTIONS),
+    aggregator=hs.sampled_from(tally.AGGREGATORS),
+)
+@example(series=[(D.min, 1.0), (D(5000, 6, 1), None), (D.max, 2)], resolution="year", aggregator="mean")
+def test_rebucket_matches_dict_reference(series, resolution, aggregator):
+    expected = reference_rebucket(series, resolution, aggregator)
+    assert tally.rebucket(series, resolution, aggregator) == expected
 
 
 def test_bucketed_series_values():

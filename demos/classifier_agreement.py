@@ -61,13 +61,11 @@ def main() -> None:
     pairs = []
     for record in synthesize(args.messages, args.corrupt, args.seed):
         for part in ingest.categorize(record):
-            pred = lid.classify(model, sanitize(part.text))
-            label_a, label_b = lid.resolve_label(part, pred, source="both")
             pairs.append(compare.LabeledPair(
                 day=part.day(),
                 category=part.category,
-                label_a=label_a,
-                label_b=label_b,
+                label_a=lid.classify(model, sanitize(part.text)).language,
+                label_b=lid.wire_label(part),
                 chars=char_count(part.text),
             ))
 

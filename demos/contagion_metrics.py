@@ -29,7 +29,7 @@ PROFILES = {
 
 def build_store(jitter: float, seed: int) -> tally.TallyStore:
     rng = random.Random(seed)
-    store = tally.TallyStore(source="demo")
+    store = tally.TallyStore()
     for day in range(365):
         date = dt.date(2019, 1, 1) + dt.timedelta(days=day)
         for lang, (ot_rate, rt_rate) in PROFILES.items():

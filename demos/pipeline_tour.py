@@ -62,14 +62,18 @@ def synthesize(n: int, seed: int) -> list:
 
 
 def labeler_from(source: str):
+    """The label chooser `contagion ingest --lid SOURCE` uses."""
     if source == "external":
-        return lambda part: lid.resolve_label(part, source="external")
+        return lid.wire_label
     model = lid.default_model()
     from contagion.sanitize import sanitize
 
-    return lambda part: lid.resolve_label(
-        part, lid.classify(model, sanitize(part.text)), source=source
-    )
+    def label(part):
+        if source == "both" and lid.wire_label(part) != lid.UND:
+            return lid.wire_label(part)
+        return lid.classify(model, sanitize(part.text)).language
+
+    return label
 
 
 def main() -> None:
@@ -84,12 +88,12 @@ def main() -> None:
     labeler = labeler_from(args.lid)
 
     # single pass and sharded pass; the merged result must be identical
-    whole = tally.ingest_tally(lines, labeler, source="demo")
+    whole = tally.ingest_tally(lines, labeler)
     bounds = [
         (len(lines) * k // args.shards, len(lines) * (k + 1) // args.shards)
         for k in range(args.shards)
     ]
-    parts = [tally.ingest_tally(lines[a:b], labeler, source="demo") for a, b in bounds]
+    parts = [tally.ingest_tally(lines[a:b], labeler) for a, b in bounds]
     merged = reduce(tally.merge, parts)
     print("sharded merge equals single pass:", merged == whole)
 

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, List, Optional, Sequence
 
@@ -52,52 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's validated settings."""
-
-    input: str = ""
-    output: Optional[str] = None
-    text: Optional[str] = None
-    lid_source: str = "builtin"
-    model_path: Optional[str] = None
-    metric: str = "ratio"
-    resolution: str = "year"
-    method: str = "mean_of_daily"
-    window: Optional[int] = None
-    language: Optional[str] = None
-    seed: int = 0
-    shards: int = 1
-    out_format: str = "csv"
-    chains: int = 4
-    warmup: int = 5000
-    draws: int = 5000
-    eta: float = 2.0
-    points_per_draw: int = 10
-    draws_out: Optional[str] = None
-    n_min: int = 1
-    n_max: int = 3
-    smoothing: float = 1.0
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        **{
-            k: v
-            for k, v in vars(args).items()
-            if k in RunConfig.__dataclass_fields__ and v is not None
-        }
-    )
-    if cfg.shards < 1:
-        raise CliError("--shards must be >= 1")
-    if cfg.window is not None:
-        if cfg.window < 1:
-            raise CliError("--window must be >= 1")
-        if cfg.resolution != "day":
-            raise CliError("--window requires --resolution day")
-    return cfg
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".contagion-")
@@ -117,9 +70,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        _atomic_write(cfg.output, text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -144,25 +97,25 @@ def _cell(value: Optional[float]) -> str:
 # labeling
 
 
-def _builtin_model(cfg: RunConfig) -> lid.NgramModel:
-    if cfg.model_path:
-        return lid.load_model(cfg.model_path)
+def _builtin_model(args: argparse.Namespace) -> lid.NgramModel:
+    if args.model_path:
+        return lid.load_model(args.model_path)
     return lid.default_model()
 
 
-def _make_labeler(cfg: RunConfig) -> Callable[[ingest.CategorizedMessage], str]:
+def _make_labeler(args: argparse.Namespace) -> Callable[[ingest.CategorizedMessage], str]:
     """Single-label chooser for ingest.
 
     builtin: the bundled (or --model) classifier on the sanitized text.
     external: the label carried on the record (und when absent).
     both: the external label where present, the classifier elsewhere.
     """
-    source = cfg.lid_source
-    model = _builtin_model(cfg) if source in ("builtin", "both") else None
+    source = args.lid_source
+    model = _builtin_model(args) if source in ("builtin", "both") else None
 
     def label(part: ingest.CategorizedMessage) -> str:
         if source != "builtin":
-            external = lid.resolve_label(part, source="external")
+            external = lid.wire_label(part)
             if source == "external" or external != lid.UND:
                 return external
         return lid.classify(model, sanitize(part.text)).language
@@ -174,38 +127,46 @@ def _make_labeler(cfg: RunConfig) -> Callable[[ingest.CategorizedMessage], str]:
 # commands
 
 
-def cmd_ingest(cfg: RunConfig) -> None:
-    labeler = _make_labeler(cfg)
-    with open(cfg.input, "rb") as fh:
+def cmd_ingest(args: argparse.Namespace) -> None:
+    if args.shards < 1:
+        raise CliError("--shards must be >= 1")
+    labeler = _make_labeler(args)
+    with open(args.input, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
 
     # contiguous line ranges, tallied one after another and merged in shard
-    # order; merge is a commutative monoid, so every K gives the single pass
+    # order; merge is a commutative monoid, so every K gives the single pass,
+    # and K above the line count is one shard per line (an empty range adds
+    # nothing)
+    shards = min(args.shards, max(1, len(lines)))
     bounds = [
-        (len(lines) * k // cfg.shards, len(lines) * (k + 1) // cfg.shards)
-        for k in range(cfg.shards)
+        (len(lines) * k // shards, len(lines) * (k + 1) // shards) for k in range(shards)
     ]
     store = reduce(
-        tally.merge,
-        (tally.ingest_tally(lines[lo:hi], labeler, source=cfg.input) for lo, hi in bounds),
+        tally.merge, (tally.ingest_tally(lines[lo:hi], labeler) for lo, hi in bounds)
     )
 
     buf = io.StringIO()
     tally.save_csv(store, buf)
-    _emit(cfg, buf.getvalue())
+    _emit(args, buf.getvalue())
 
 
-def _load_store(cfg: RunConfig) -> tally.TallyStore:
-    with open(cfg.input, encoding="utf-8", newline="") as fh:
-        return tally.load_csv(fh, source=cfg.input)
+def _load_store(args: argparse.Namespace) -> tally.TallyStore:
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        return tally.load_csv(fh)
 
 
-def cmd_metric(cfg: RunConfig) -> None:
-    store = _load_store(cfg)
+def cmd_metric(args: argparse.Namespace) -> None:
+    if args.window is not None:
+        if args.window < 1:
+            raise CliError("--window must be >= 1")
+        if args.resolution != "day":
+            raise CliError("--window requires --resolution day")
+    store = _load_store(args)
 
-    if cfg.metric == "glm-input":
-        rows = metrics.annual_glm_table(store, method=cfg.method)
-        if cfg.out_format == "csv":
+    if args.metric == "glm-input":
+        rows = metrics.annual_glm_table(store, method=args.method)
+        if args.out_format == "csv":
             text = _csv_text(
                 GLM_INPUT_HEADER,
                 [(y, lang, repr(x), repr(r)) for y, lang, x, r in rows],
@@ -217,65 +178,63 @@ def cmd_metric(cfg: RunConfig) -> None:
                     for y, lang, x, r in rows
                 ]
             )
-        _emit(cfg, text)
+        _emit(args, text)
         return
 
-    languages = [cfg.language] if cfg.language else list(store.languages())
+    languages = [args.language] if args.language else list(store.languages())
     out_rows = []
     for lang in languages:
-        if cfg.window is not None:
+        if args.window is not None:
             points = tally.rolling_mean(
-                metrics.daily_series(store, lang, cfg.metric), cfg.window
+                metrics.daily_series(store, lang, args.metric), args.window
             )
         else:
             points = metrics.aggregate_metric(
-                store, lang, cfg.resolution, cfg.metric, cfg.method
+                store, lang, args.resolution, args.metric, args.method
             ).points
         for start, value in points:
             out_rows.append((start.isoformat(), lang, value))
 
-    if cfg.out_format == "csv":
+    if args.out_format == "csv":
         text = _csv_text(
             SERIES_HEADER,
-            [(d, lang, cfg.metric, _cell(v)) for d, lang, v in out_rows],
+            [(d, lang, args.metric, _cell(v)) for d, lang, v in out_rows],
         )
     else:
         text = _json_text(
             [
-                {"bucket_start": d, "language": lang, "metric": cfg.metric, "value": v}
+                {"bucket_start": d, "language": lang, "metric": args.metric, "value": v}
                 for d, lang, v in out_rows
             ]
         )
-    _emit(cfg, text)
+    _emit(args, text)
 
 
-def cmd_compare(cfg: RunConfig) -> None:
-    model = _builtin_model(cfg)
+def cmd_compare(args: argparse.Namespace) -> None:
+    model = _builtin_model(args)
     stats = ingest.ParseStats()
     pairs = []
-    with open(cfg.input, "rb") as fh:
+    with open(args.input, "rb") as fh:
         for record in ingest.parse_ndjson(fh.read().splitlines(), stats=stats):
             for part in ingest.categorize(record):
-                pred = lid.classify(model, sanitize(part.text))
-                label_a, label_b = lid.resolve_label(part, pred, source="both")
                 pairs.append(
                     compare_mod.LabeledPair(
                         day=part.day(),
                         category=part.category,
-                        label_a=label_a,
-                        label_b=label_b,
+                        label_a=lid.classify(model, sanitize(part.text)).language,
+                        label_b=lid.wire_label(part),
                         chars=char_count(part.text),
                     )
                 )
     report = compare_mod.agreement_report(pairs)
-    if cfg.out_format == "csv":
+    if args.out_format == "csv":
         grid = compare_mod.confusion_to_csv_rows(report.confusion)
         text = _csv_text(grid[0], grid[1:])
     else:
         doc = compare_mod.report_to_dict(report)
         doc["parse_errors"] = {k: stats.errors[k] for k in sorted(stats.errors)}
         text = _json_text(doc)
-    _emit(cfg, text)
+    _emit(args, text)
 
 
 def _read_glm_rows(path: str) -> List[tuple]:
@@ -300,54 +259,54 @@ def _read_glm_rows(path: str) -> List[tuple]:
     return rows
 
 
-def cmd_forecast(cfg: RunConfig) -> None:
-    rows = _read_glm_rows(cfg.input)
-    if cfg.language:
-        rows = [r for r in rows if r[1] == cfg.language]
+def cmd_forecast(args: argparse.Namespace) -> None:
+    rows = _read_glm_rows(args.input)
+    if args.language:
+        rows = [r for r in rows if r[1] == args.language]
         if not rows:
-            raise CliError("no rows for language %r" % cfg.language)
+            raise CliError("no rows for language %r" % args.language)
     sampler = forecast_mod.SamplerConfig(
-        seed=cfg.seed,
-        chains=cfg.chains,
-        warmup=cfg.warmup,
-        draws=cfg.draws,
-        eta=cfg.eta,
-        points_per_draw=cfg.points_per_draw,
+        seed=args.seed,
+        chains=args.chains,
+        warmup=args.warmup,
+        draws=args.draws,
+        eta=args.eta,
+        points_per_draw=args.points_per_draw,
     )
     result = forecast_mod.forecast_pipeline(rows, sampler)
-    _emit(cfg, _json_text(result.summary))
-    if cfg.draws_out:
+    _emit(args, _json_text(result.summary))
+    if args.draws_out:
         bundle = result.bundle
         draw_rows = [
             tuple(repr(float(bundle.state_draws[k][i])) for k in forecast_mod.PARAM_NAMES)
             for i in range(bundle.n_draws)
         ]
         _atomic_write(
-            cfg.draws_out, _csv_text(forecast_mod.PARAM_NAMES, draw_rows)
+            args.draws_out, _csv_text(forecast_mod.PARAM_NAMES, draw_rows)
         )
 
 
-def cmd_train_lid(cfg: RunConfig) -> None:
-    corpus = lid.read_corpus(cfg.input)
-    model = lid.train(corpus, n_range=(cfg.n_min, cfg.n_max), smoothing=cfg.smoothing)
-    _emit(cfg, lid.dumps_model(model))
+def cmd_train_lid(args: argparse.Namespace) -> None:
+    corpus = lid.read_corpus(args.input)
+    model = lid.train(corpus, n_range=(args.n_min, args.n_max), smoothing=args.smoothing)
+    _emit(args, lid.dumps_model(model))
 
 
-def cmd_eval_lid(cfg: RunConfig) -> None:
-    model = _builtin_model(cfg)
-    report = lid.evaluate(model, lid.read_corpus(cfg.input))
-    _emit(cfg, _json_text(report))
+def cmd_eval_lid(args: argparse.Namespace) -> None:
+    model = _builtin_model(args)
+    report = lid.evaluate(model, lid.read_corpus(args.input))
+    _emit(args, _json_text(report))
 
 
-def cmd_sanitize(cfg: RunConfig) -> None:
-    clean = sanitize(cfg.text)
+def cmd_sanitize(args: argparse.Namespace) -> None:
+    clean = sanitize(args.text)
     _emit(
-        cfg,
+        args,
         _json_text(
             {
                 "text": clean.text,
                 "removed_counts": clean.removed_counts,
-                "chars_in": char_count(cfg.text),
+                "chars_in": char_count(args.text),
                 "chars_out": char_count(clean.text),
             }
         ),
@@ -424,17 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="fit and forecast the annual dynamic model")
     common(p)
-    p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
-    p.add_argument("--chains", type=int, default=4, help="MCMC chains (default: 4)")
-    p.add_argument("--warmup", type=int, default=5000, help="adaptation iterations per chain (default: 5000)")
-    p.add_argument("--draws", type=int, default=5000, help="kept iterations per chain (default: 5000)")
-    p.add_argument("--eta", type=float, default=2.0, help="LKJ concentration (default: 2.0)")
+    sampler = forecast_mod.SamplerConfig
+    p.add_argument("--seed", type=int, default=sampler.seed, help="rng seed (default: %(default)s)")
+    p.add_argument("--chains", type=int, default=sampler.chains, help="MCMC chains (default: %(default)s)")
+    p.add_argument("--warmup", type=int, default=sampler.warmup, help="adaptation iterations per chain (default: %(default)s)")
+    p.add_argument("--draws", type=int, default=sampler.draws, help="kept iterations per chain (default: %(default)s)")
+    p.add_argument("--eta", type=float, default=sampler.eta, help="LKJ concentration (default: %(default)s)")
     p.add_argument(
         "--points-per-draw",
         dest="points_per_draw",
         type=int,
-        default=10,
-        help="synthetic volume points per forecast draw (default: 10)",
+        default=sampler.points_per_draw,
+        help="synthetic volume points per forecast draw (default: %(default)s)",
     )
     p.add_argument("--draws-out", dest="draws_out", help="also write raw forecast state draws CSV here")
     p.add_argument("--language", help="restrict to one language code")
@@ -464,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(_config(args))
+        args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

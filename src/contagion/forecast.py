@@ -53,6 +53,9 @@ _STAGE_YEARS = 999961
 _STAGE_WALK = 999983
 _STAGE_FORECAST = 999979
 
+# acceptance rate the warmup step size chases
+_TARGET_ACCEPT = 0.3
+
 
 # ---------------------------------------------------------------------------
 # densities
@@ -264,7 +267,6 @@ class SamplerConfig:
     chains: int = 4
     warmup: int = 5000
     draws: int = 5000
-    target_accept: float = 0.3
     eta: float = 2.0  # LKJ concentration for the walk stage
     points_per_draw: int = 10  # synthetic volume points per forecast draw
 
@@ -275,8 +277,6 @@ class SamplerConfig:
             raise ValueError("bad sampler size settings")
         if self.chains * self.draws < 1000:
             raise ValueError("need at least 1000 post-warmup draws")
-        if not (0.0 < self.target_accept < 1.0):
-            raise ValueError("target_accept must be in (0, 1)")
         if self.eta <= 0 or self.points_per_draw < 1:
             raise ValueError("eta and points_per_draw must be positive")
 
@@ -289,7 +289,6 @@ class PosteriorSamples:
     draws: Dict[str, np.ndarray]
     acceptance: Tuple[float, ...]
     warnings: Tuple[str, ...]
-    seed: int
 
     def __post_init__(self) -> None:
         sizes = {v.shape for v in self.draws.values()}
@@ -383,7 +382,7 @@ def _metropolis(
         lp = np.where(ok, lp_prop, lp)
         if t < warmup:
             rm_clock += 1
-            log_step += rm_clock**-0.6 * (ok - config.target_accept)
+            log_step += rm_clock**-0.6 * (ok - _TARGET_ACCEPT)
             trace[t] = x
             if t + 1 in refreshes:
                 _refresh_shapes(trace[(t + 1) // 2 : t + 1], prop_chol, log_step, rm_clock)
@@ -436,7 +435,6 @@ def sample_posterior(
                 draws=draws,
                 acceptance=acceptance,
                 warnings=_acceptance_warnings(acceptance, "year %d" % obs.year),
-                seed=config.seed,
             )
         )
     return tuple(fits)
@@ -461,12 +459,10 @@ class WalkPosterior:
     """Walk covariance draws: Sigma = diag(sigma) . R . diag(sigma)."""
 
     dim: int
-    eta: float
     sigma: np.ndarray  # (S, dim)
     chol_corr: np.ndarray  # (S, dim, dim) lower-triangular Cholesky of R
     acceptance: Tuple[float, ...]
     warnings: Tuple[str, ...]
-    seed: int
 
     @property
     def size(self) -> int:
@@ -543,12 +539,10 @@ def _fit_walk_from_increments(
     acceptance = tuple(float(v) for v in rates)
     return WalkPosterior(
         dim=dim,
-        eta=config.eta,
         sigma=np.exp(samples[:, :dim]),
         chol_corr=chol_corr,
         acceptance=acceptance,
         warnings=_acceptance_warnings(acceptance, "walk"),
-        seed=config.seed,
     )
 
 
@@ -579,7 +573,6 @@ class ForecastBundle:
     predictive_quantiles: Dict[str, Dict[str, float]]
     n_draws: int
     n_rejected: int
-    seed: int
 
 
 def _quantile_dict(values: np.ndarray) -> Dict[str, float]:
@@ -637,7 +630,6 @@ def forecast_next(
         },
         n_draws=int(z_next.shape[0]),
         n_rejected=int(pending.size),
-        seed=config.seed,
     )
 
 

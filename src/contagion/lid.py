@@ -219,28 +219,12 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     return LidPrediction(language, confidence, bucket_confidence(confidence))
 
 
-def resolve_label(record, prediction: Optional[LidPrediction] = None, source: str = "builtin"):
-    """Pick the label for a message from the configured source.
+def wire_label(record) -> str:
+    """The language label a record carried on the wire.
 
-    "builtin" returns the classifier prediction, "external" the wire label
-    (absent or invalid labels map to "und", as does a wire confidence
-    below the und threshold), "both" the (builtin, external) pair for
-    comparison work.
+    An absent or invalid label maps to "und", as does a wire confidence
+    below the und threshold.
     """
-    if source == "builtin":
-        if prediction is None:
-            raise ValueError("source=builtin requires a prediction")
-        return prediction.language
-    if source == "external":
-        return _external_label(record)
-    if source == "both":
-        if prediction is None:
-            raise ValueError("source=both requires a prediction")
-        return prediction.language, _external_label(record)
-    raise ValueError("unknown label source: %r" % (source,))
-
-
-def _external_label(record) -> str:
     conf = getattr(record, "external_confidence", None)
     if conf is not None and conf < UND_THRESHOLD:
         return UND

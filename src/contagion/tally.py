@@ -74,10 +74,9 @@ class TallyStore:
     empty is ever stored and == compares the nested dicts directly.
     """
 
-    def __init__(self, source: str = "") -> None:
+    def __init__(self) -> None:
         self.entries: dict[str, dict[dt.date, list[int]]] = {}
         self.errors: dict[str, int] = {}
-        self.source = source
 
     def __len__(self) -> int:
         return sum(len(days) for days in self.entries.values())
@@ -163,11 +162,7 @@ def accumulate(store: TallyStore, msg: CategorizedMessage, label: str) -> TallyS
 
 def merge(a: TallyStore, b: TallyStore) -> TallyStore:
     """Entrywise sum of two stores; error counters sum as well."""
-    if a.source and b.source and a.source != b.source:
-        source = "%s+%s" % (a.source, b.source)
-    else:
-        source = a.source or b.source
-    out = TallyStore(source=source)
+    out = TallyStore()
     for store in (a, b):
         for lang, days in store.entries.items():
             out_days = out.entries.setdefault(lang, {})
@@ -183,7 +178,6 @@ def merge(a: TallyStore, b: TallyStore) -> TallyStore:
 def ingest_tally(
     lines: Iterable,
     labeler: Callable[[CategorizedMessage], str],
-    source: str = "",
     stats: Optional[ParseStats] = None,
 ) -> TallyStore:
     """Parse an NDJSON stream, categorize, label and tally it in one pass.
@@ -193,7 +187,7 @@ def ingest_tally(
     (#input records = tallied + skipped) stays auditable.
     """
     stats = stats if stats is not None else ParseStats()
-    store = TallyStore(source=source)
+    store = TallyStore()
     for record in parse_ndjson(lines, stats=stats):
         for part in categorize(record):
             accumulate(store, part, labeler(part))
@@ -210,7 +204,7 @@ def save_csv(store: TallyStore, fh: TextIO) -> None:
         writer.writerow((row.date.isoformat(), row.language, row.f_ot, row.f_rt))
 
 
-def load_csv(fh: TextIO, source: str = "") -> TallyStore:
+def load_csv(fh: TextIO) -> TallyStore:
     """Inverse of save_csv.  Raises ValueError on a malformed file."""
     reader = csv.reader(fh)
     try:
@@ -219,7 +213,7 @@ def load_csv(fh: TextIO, source: str = "") -> TallyStore:
         raise ValueError("empty tally file") from None
     if tuple(header) != CSV_HEADER:
         raise ValueError("bad tally header: %r" % (header,))
-    store = TallyStore(source=source)
+    store = TallyStore()
     dates: dict[str, dt.date] = {}  # every language repeats each day's string
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -332,16 +326,17 @@ def rolling_mean(series: Sequence[DailyPoint], window_days: int) -> Tuple[DailyP
     dates = [d for d, _ in series]
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise ValueError("daily series must be strictly increasing in date")
-    by_date = {d: v for d, v in series if v is not None}
 
+    # values[i] is day first + i, so each window is one slice, read newest
+    # day first: fsum rounds exactly, but its intermediate-overflow error
+    # depends on the order of the summands
+    first = dates[0].toordinal()
+    values: list[Optional[float]] = [None] * (dates[-1].toordinal() - first + 1)
+    for day, value in series:
+        values[day.toordinal() - first] = value
     out = []
-    day = dates[0]
-    while day <= dates[-1]:
-        window = [
-            by_date[day - dt.timedelta(days=k)]
-            for k in range(window_days)
-            if day - dt.timedelta(days=k) in by_date
-        ]
-        out.append((day, _mean(window) if window else None))
-        day += dt.timedelta(days=1)
+    for i in range(len(values)):
+        lo = max(0, i - window_days + 1)
+        window = [v for v in reversed(values[lo : i + 1]) if v is not None]
+        out.append((dt.date.fromordinal(first + i), _mean(window) if window else None))
     return tuple(out)

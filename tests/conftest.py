@@ -1,6 +1,7 @@
 """Shared fixtures: paths, the synthetic trend used by the forecast tests,
 the closed forms those tests check the sampler against, arbitrary tally
-stores, and the dict-based rebucket the calendar tests check against."""
+stores, and the dict-based rebucket and rolling mean the calendar tests
+check against."""
 
 import datetime as dt
 import math
@@ -175,3 +176,21 @@ def reference_rebucket(series, resolution: str, aggregator: str = "mean"):
             break
         start = _reference_next_bucket(start, resolution)
     return tally.BucketedSeries(resolution, tuple(points))
+
+
+def reference_rolling_mean(series, window_days: int):
+    """rolling_mean as first written, one timedelta and one dict probe per
+    day and offset, stepping by ordinal so neither calendar edge overflows."""
+    if not series:
+        return ()
+    by_date = {d: v for d, v in series if v is not None}
+    out = []
+    for ordinal in range(series[0][0].toordinal(), series[-1][0].toordinal() + 1):
+        day = dt.date.fromordinal(ordinal)
+        window = [
+            by_date[day - dt.timedelta(days=k)]
+            for k in range(min(window_days, ordinal))
+            if day - dt.timedelta(days=k) in by_date
+        ]
+        out.append((day, math.fsum(window) / len(window) if window else None))
+    return tuple(out)

@@ -132,6 +132,24 @@ def test_sharded_ingest_any_k_matches_single_pass(lines, trailing_newline):
         assert len(outputs) == 1
 
 
+def test_shards_above_line_count_tally_one_line_each(tmp_path, monkeypatch):
+    calls = []
+    ingest_tally = cli.tally.ingest_tally
+
+    def counting(lines, labeler, **kwargs):
+        calls.append(len(lines))
+        return ingest_tally(lines, labeler, **kwargs)
+
+    single = tmp_path / "single.csv"
+    assert run("ingest", "--in", MINI, "--out", str(single)) == 0
+    monkeypatch.setattr(cli.tally, "ingest_tally", counting)
+    sharded = tmp_path / "sharded.csv"
+    assert run("ingest", "--in", MINI, "--shards", "1000", "--out", str(sharded)) == 0
+    with open(MINI, "rb") as fh:
+        assert len(calls) <= len(fh.read().splitlines()) == 28
+    assert sharded.read_bytes() == single.read_bytes()
+
+
 def test_ingest_out_of_range_ts_counted_not_fatal(tmp_path):
     good = [
         json.dumps({"id": "1", "ts": 1559347200, "kind": "tweet", "text": "x", "lang": "en"}),
@@ -182,7 +200,7 @@ def test_lid_both_classifies_only_parts_without_a_wire_label(tmp_path, monkeypat
     with open(MINI, "rb") as fh:
         parts = [p for rec in ingest.parse_ndjson(fh.read().splitlines())
                  for p in ingest.categorize(rec)]
-    unlabeled = [p for p in parts if lid.resolve_label(p, source="external") == lid.UND]
+    unlabeled = [p for p in parts if lid.wire_label(p) == lid.UND]
     assert 0 < len(unlabeled) < len(parts)
     assert len(calls) == len(unlabeled)
 
@@ -256,6 +274,18 @@ def test_metric_rolling_window_json(tmp_path):
     assert all(d["metric"] == "ratio" and d["language"] == "en" for d in doc)
     # en days: (2,1) (4,2) (2,1) -> daily ratios 0.5, 0.5, 0.5
     assert [d["value"] for d in doc] == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("days", [("0001-01-01", "0001-01-02"), ("9999-12-30", "9999-12-31")])
+def test_metric_rolling_window_at_calendar_edges(tmp_path, days):
+    tally_csv = tmp_path / "tally.csv"
+    tally_csv.write_text("date,language,f_ot,f_rt\n%s,en,2,1\n%s,en,1,1\n" % days)
+    out = run_read(
+        tmp_path, "metric", "--in", str(tally_csv), "--resolution", "day", "--window", "3"
+    )
+    assert out == (
+        "bucket_start,language,metric,value\n%s,en,ratio,0.5\n%s,en,ratio,0.75\n" % days
+    )
 
 
 # -- forecast -------------------------------------------------------------------
@@ -366,12 +396,23 @@ def test_exit_code_window_without_day_resolution(capsys):
     assert run("metric", "--in", ANNUAL, "--window", "7",
                "--out", "/tmp/never.csv") == 1
     assert "resolution" in capsys.readouterr().err
+    # flags are checked before the input is read
+    missing = "/nonexistent/tally.csv"
+    for argv, message in [
+        (("--in", ANNUAL, "--window", "0", "--resolution", "day"), "--window must be >= 1"),
+        (("--in", missing, "--window", "7", "--resolution", "month"),
+         "--window requires --resolution day"),
+    ]:
+        assert run("metric", *argv, "--out", "/tmp/never.csv") == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_exit_code_bad_shards(capsys):
-    assert run("ingest", "--in", MINI, "--out", "/tmp/never.csv",
-               "--shards", "0") == 1
-    capsys.readouterr()
+    # flags are checked before the input is read
+    for path in (MINI, "/nonexistent/stream.ndjson"):
+        assert run("ingest", "--in", path, "--out", "/tmp/never.csv",
+                   "--shards", "0") == 1
+        assert capsys.readouterr().err == "error: --shards must be >= 1\n"
 
 
 def test_exit_code_bad_glm_header(tmp_path, capsys):

@@ -331,8 +331,6 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(draws=0)
     with pytest.raises(ValueError):
-        SamplerConfig(target_accept=1.5)
-    with pytest.raises(ValueError):
         SamplerConfig(eta=0.0)
     # PosteriorSamples needs 1000 draws per year; fail before sampling
     with pytest.raises(ValueError, match="need at least 1000 post-warmup draws"):
@@ -342,8 +340,7 @@ def test_sampler_config_validation():
 
 def _posterior(year=2019, n=1000, value=1.0):
     draws = {k: np.full(n, value) for k in forecast.PARAM_NAMES}
-    return PosteriorSamples(year=year, draws=draws, acceptance=(0.3,),
-                            warnings=(), seed=0)
+    return PosteriorSamples(year=year, draws=draws, acceptance=(0.3,), warnings=())
 
 
 def test_posterior_samples_validation():
@@ -352,11 +349,11 @@ def test_posterior_samples_validation():
     bad = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
     bad["tau"] = np.full(1000, -1.0)
     with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, draws=bad, acceptance=(), warnings=(), seed=0)
+        PosteriorSamples(year=2019, draws=bad, acceptance=(), warnings=())
     uneven = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
     uneven["mu"] = np.full(1001, 1.0)
     with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, draws=uneven, acceptance=(), warnings=(), seed=0)
+        PosteriorSamples(year=2019, draws=uneven, acceptance=(), warnings=())
 
 
 def test_pseudo_observations_mean_and_order():
@@ -366,7 +363,7 @@ def test_pseudo_observations_mean_and_order():
               for k in forecast.PARAM_NAMES}
     halves["tau"] = np.abs(halves["tau"]) + 0.5  # stay positive
     halves["b"] = np.abs(halves["b"]) + 0.5
-    mixed = PosteriorSamples(year=2019, draws=halves, acceptance=(), warnings=(), seed=0)
+    mixed = PosteriorSamples(year=2019, draws=halves, acceptance=(), warnings=())
     assert mixed.mean_state().mu == 1.0  # mean of {0, 2}
     pseudo = forecast.pseudo_observations([degenerate, mixed])
     assert pseudo[0] == degenerate.mean_state()
@@ -619,8 +616,8 @@ def test_walk_params_reconstruction():
 def _degenerate_walk(sigma_value=1e-8, size=2000, dim=6):
     sigma = np.full((size, dim), sigma_value)
     chol = np.tile(np.eye(dim), (size, 1, 1))
-    return WalkPosterior(dim=dim, eta=2.0, sigma=sigma, chol_corr=chol,
-                         acceptance=(0.3,), warnings=(), seed=0)
+    return WalkPosterior(dim=dim, sigma=sigma, chol_corr=chol,
+                         acceptance=(0.3,), warnings=())
 
 
 def test_forecast_degenerate_walk_pins_state():

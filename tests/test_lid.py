@@ -298,34 +298,23 @@ def test_untrained_model_is_configuration_error():
         lid.classify(empty, "text")
 
 
-# -- label resolution --------------------------------------------------------
+# -- wire labels -------------------------------------------------------------
 
 
 def test_resolve_external_passthrough():
-    assert lid.resolve_label(_record(external_label="en"), source="external") == "en"
+    assert lid.wire_label(_record(external_label="en")) == "en"
 
 
 def test_resolve_external_absent_is_und():
-    assert lid.resolve_label(_record(), source="external") == "und"
-    assert lid.resolve_label(_record(external_label=""), source="external") == "und"
+    assert lid.wire_label(_record()) == "und"
+    assert lid.wire_label(_record(external_label="")) == "und"
 
 
 def test_resolve_external_low_confidence_is_und():
     rec = _record(external_label="fr", external_confidence=0.05)
-    assert lid.resolve_label(rec, source="external") == "und"
+    assert lid.wire_label(rec) == "und"
     rec = _record(external_label="fr", external_confidence=0.41)
-    assert lid.resolve_label(rec, source="external") == "fr"
-
-
-def test_resolve_builtin_and_both():
-    pred = lid.LidPrediction("es", 0.9, "high")
-    rec = _record(external_label="en")
-    assert lid.resolve_label(rec, pred, source="builtin") == "es"
-    assert lid.resolve_label(rec, pred, source="both") == ("es", "en")
-    with pytest.raises(ValueError):
-        lid.resolve_label(rec, source="builtin")
-    with pytest.raises(ValueError):
-        lid.resolve_label(rec, pred, source="nowhere")
+    assert lid.wire_label(rec) == "fr"
 
 
 # -- serialization -----------------------------------------------------------

@@ -10,4 +10,17 @@ that forecasts the next year.
 
 __version__ = "0.1.0"
 
-from . import compare, forecast, ingest, lid, metrics, sanitize, tally  # noqa: F401
+_SUBMODULES = (
+    "cli", "compare", "forecast", "ingest", "lid", "metrics", "sampler", "sanitize", "tally",
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: ``contagion.forecast`` and the rest load on first access, so
+    # importing the package (as every CLI call does) loads none of them,
+    # and numpy only with the modules that compute with it
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

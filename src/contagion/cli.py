@@ -28,9 +28,8 @@ import tempfile
 from functools import reduce
 from typing import Callable, List, Optional, Sequence
 
-from . import compare as compare_mod
-from . import forecast as forecast_mod
 from . import ingest, lid, metrics, tally
+from .sampler import SamplerConfig
 from .sanitize import char_count, sanitize
 
 EXIT_OK = 0
@@ -131,8 +130,10 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     if args.shards < 1:
         raise CliError("--shards must be >= 1")
     labeler = _make_labeler(args)
+    # iterating splits at b"\n" only (a bare CR inside a record is JSON
+    # whitespace); bench/tracing.py's file wrapper iterates but has no readlines
     with open(args.input, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
+        lines = list(fh)
 
     # contiguous line ranges, tallied one after another and merged in shard
     # order; merge is a commutative monoid, so every K gives the single pass,
@@ -211,11 +212,13 @@ def cmd_metric(args: argparse.Namespace) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
+    from . import compare as compare_mod
+
     model = _builtin_model(args)
     stats = ingest.ParseStats()
     pairs = []
     with open(args.input, "rb") as fh:
-        for record in ingest.parse_ndjson(fh.read().splitlines(), stats=stats):
+        for record in ingest.parse_ndjson(fh, stats=stats):
             for part in ingest.categorize(record):
                 pairs.append(
                     compare_mod.LabeledPair(
@@ -260,12 +263,14 @@ def _read_glm_rows(path: str) -> List[tuple]:
 
 
 def cmd_forecast(args: argparse.Namespace) -> None:
+    from . import forecast as forecast_mod  # numpy loads here, not at start-up
+
     rows = _read_glm_rows(args.input)
     if args.language:
         rows = [r for r in rows if r[1] == args.language]
         if not rows:
             raise CliError("no rows for language %r" % args.language)
-    sampler = forecast_mod.SamplerConfig(
+    sampler = SamplerConfig(
         seed=args.seed,
         chains=args.chains,
         warmup=args.warmup,
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="fit and forecast the annual dynamic model")
     common(p)
-    sampler = forecast_mod.SamplerConfig
+    sampler = SamplerConfig
     p.add_argument("--seed", type=int, default=sampler.seed, help="rng seed (default: %(default)s)")
     p.add_argument("--chains", type=int, default=sampler.chains, help="MCMC chains (default: %(default)s)")
     p.add_argument("--warmup", type=int, default=sampler.warmup, help="adaptation iterations per chain (default: %(default)s)")

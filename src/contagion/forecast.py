@@ -31,7 +31,8 @@ and every walk chain in another.  Densities are written out by hand
 (only scipy.special primitives) so each term is auditable against the
 model statement above; they broadcast, so each batched target is one
 call per term.  scipy.special is imported inside the densities that use
-it, so importing this module (and every CLI command) does not load scipy.
+it, so importing this module does not load scipy; the CLI imports this
+module (and with it numpy) only in the ``forecast`` command.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .sampler import SamplerConfig
 
 PARAM_NAMES = ("mu", "tau", "alpha", "beta0", "beta1", "b")
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -259,26 +262,6 @@ def _year_log_target(
 
 # ---------------------------------------------------------------------------
 # sampler core
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 0
-    chains: int = 4
-    warmup: int = 5000
-    draws: int = 5000
-    eta: float = 2.0  # LKJ concentration for the walk stage
-    points_per_draw: int = 10  # synthetic volume points per forecast draw
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.chains < 1 or self.warmup < 0 or self.draws < 1:
-            raise ValueError("bad sampler size settings")
-        if self.chains * self.draws < 1000:
-            raise ValueError("need at least 1000 post-warmup draws")
-        if self.eta <= 0 or self.points_per_draw < 1:
-            raise ValueError("eta and points_per_draw must be positive")
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .sanitize import SanitizedText, sanitize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UND = "und"
 BUCKETS = ("und", "low", "mid", "high")
@@ -94,6 +95,8 @@ class NgramModel:
     @cached_property
     def dense(self) -> tuple[dict, np.ndarray, np.ndarray]:
         """(gram -> row, log-likelihood matrix, log priors), built once for every classify call."""
+        import numpy as np  # loads with the first classify, not with the CLI
+
         langs = self.languages
         index: dict = {}
         for lang in langs:
@@ -204,6 +207,8 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     grams = _grams(text, model.n_lo, model.n_hi)
     if not grams:
         return LidPrediction(UND, 0.0, "und")
+    import numpy as np
+
     index, matrix, priors = model.dense
     unseen_row = len(index)
     rows = matrix[[index.get(gram, unseen_row) for gram in grams]]
@@ -261,9 +266,11 @@ def _finite(field: str, line: str) -> float:
 
 def loads_model(data: str) -> NgramModel:
     """Parse a v1 model file; inconsistent or non-finite contents raise ValueError."""
-    lines = data.splitlines()
-    if not lines:
+    if not data:
         raise ValueError("empty model file")
+    # "\n" only: str.splitlines also breaks at \x0b, \x1c, \x85, \u2028 and
+    # the like, which a gram may hold; strip one "\r" so CRLF files load
+    lines = [line[:-1] if line.endswith("\r") else line for line in data.split("\n")]
     header = lines[0].split()
     if len(header) != 2 or header[0] != _MAGIC or header[1] != str(_VERSION):
         raise ValueError("unsupported model header: %r" % (lines[0],))

@@ -132,6 +132,54 @@ def test_sharded_ingest_any_k_matches_single_pass(lines, trailing_newline):
         assert len(outputs) == 1
 
 
+def test_bare_cr_between_tokens_is_json_whitespace(tmp_path):
+    # only LF ends an NDJSON line; a CR inside a record is whitespace
+    stream = tmp_path / "cr.ndjson"
+    stream.write_bytes(
+        b'{"id":"a",\r"ts":1559347200,"kind":"tweet","text":"x","lang":"en"}\n'
+        b'{"id":"b","ts":1559347200,"kind":"tweet","text":"y","lang":"en"}\n'
+    )
+    assert run_read(tmp_path, "ingest", "--in", str(stream), "--lid", "external") == (
+        "date,language,f_ot,f_rt\n2019-06-01,en,2,0\n"
+    )
+    doc = json.loads(run_read(tmp_path, "compare", "--in", str(stream)))
+    assert doc["n_pairs"] == 2
+    assert not any(doc["parse_errors"].values())
+
+
+_WS = hs.text(alphabet=" \t\r", max_size=2)
+
+
+def _spaced(args):
+    """(plain line, the same record with random whitespace between its tokens)."""
+    record, lead, before_comma, after_comma, before_colon, after_colon, trail = args
+    separators = (before_comma + "," + after_comma, before_colon + ":" + after_colon)
+    spaced = lead + json.dumps(record, separators=separators) + trail
+    return json.dumps(record).encode(), spaced.encode()
+
+
+_SPACED_LINE = hs.one_of(
+    hs.tuples(_RECORD, *[_WS] * 6).map(_spaced),
+    _MALFORMED.map(lambda line: (line, line)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs=hs.lists(_SPACED_LINE, max_size=8))
+def test_cr_whitespace_in_records_changes_no_count(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        plain, spaced = tmp / "plain.ndjson", tmp / "spaced.ndjson"
+        plain.write_bytes(b"".join(p + b"\n" for p, _ in pairs))
+        spaced.write_bytes(b"".join(s + b"\n" for _, s in pairs))
+        reports = [run_read(tmp, "compare", "--in", str(src)) for src in (plain, spaced)]
+        assert reports[0] == reports[1]  # pairs, labels and parse_errors
+        expected = run_read(tmp, "ingest", "--in", str(plain), "--lid", "external")
+        for k in range(1, len(pairs) + 3):
+            assert run_read(tmp, "ingest", "--in", str(spaced), "--lid", "external",
+                            "--shards", str(k)) == expected
+
+
 def test_shards_above_line_count_tally_one_line_each(tmp_path, monkeypatch):
     calls = []
     ingest_tally = cli.tally.ingest_tally
@@ -324,17 +372,62 @@ def test_forecast_too_few_draws_fails_before_sampling(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least 1000 post-warmup draws\n"
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy.special loads on the first forecast density call, not at start-up
+_LOADED = """import sys
+from contagion import cli
+
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] in ("numpy", "scipy")
+                  or m in ("contagion.forecast", "contagion.compare"))
+"""
+
+
+def _fresh_python(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    script = "import sys, contagion.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # numpy, scipy and the forecast and compare layers load in the commands
+    # that compute with them: not at start-up, nor in ingest --lid external
+    # or metric
+    script = _LOADED + """
+print(loaded())
+assert cli.main(["ingest", "--lid", "external", "--in", sys.argv[1], "--out", sys.argv[3]]) == 0
+assert cli.main(["metric", "--metric", "glm-input", "--in", sys.argv[2], "--out", sys.argv[4]]) == 0
+print(loaded())
+import contagion
+print(contagion.compare.__name__)  # submodules still load on attribute access
+"""
+    out = _fresh_python(script, MINI, ANNUAL, str(tmp_path / "t.csv"), str(tmp_path / "g.csv"))
+    assert out == "[]\n[]\ncontagion.compare\n"
+    assert (tmp_path / "t.csv").read_bytes() == (GOLDEN / "tally_external.csv").read_bytes()
+
+
+def test_forecast_and_compare_load_their_layer_in_a_fresh_process(tmp_path):
+    script = _LOADED + """
+assert cli.main(sys.argv[1:]) == 0
+print([m for m in loaded() if m.startswith("contagion.")])
+"""
+    agreement = tmp_path / "agreement.json"
+    out = _fresh_python(script, "compare", "--in", MINI, "--out", str(agreement))
+    assert out == "['contagion.compare']\n"
+    assert agreement.read_bytes() == (GOLDEN / "agreement.json").read_bytes()
+
+    argv = ["forecast", "--in", GLM_INPUT, "--language", "en", "--seed", "7",
+            "--chains", "1", "--warmup", "0", "--draws", "1000"]
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    out = _fresh_python(script, *argv, "--out", str(fresh))
+    assert out == "['contagion.forecast']\n"
+    assert run(*argv, "--out", str(here)) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_forecast_unknown_language_fails(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from contagion import lid
@@ -331,6 +331,25 @@ def test_model_file_roundtrip(tmp_path):
     path = tmp_path / "model.tsv"
     lid.save_model(model, path)
     assert lid.load_model(path) == model
+
+
+_GRAM_COUNTS = hs.dictionaries(
+    hs.text(hs.characters(exclude_characters="\t\n\r"), min_size=1, max_size=3),
+    hs.integers(1, 9),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_GRAM_COUNTS, b=_GRAM_COUNTS)
+@example(a={"\x1c": 1, "\u2028": 2}, b={"\x85": 3, "x\x0by": 1})
+def test_model_text_roundtrip_any_gram(a, b):
+    # dumps_model accepts every gram without tab, LF or CR; loads_model
+    # must read each back, from LF and from CRLF text alike
+    model = lid.model_from_counts({"aa": Counter(a), "bb": Counter(b)}, {"aa": 1, "bb": 2})
+    text = lid.dumps_model(model)
+    assert lid.loads_model(text) == model
+    assert lid.loads_model(text.replace("\n", "\r\n")) == model
 
 
 def test_loads_rejects_wrong_magic():

@@ -19,7 +19,14 @@ a driftless random walk z_t ~ MVN(z_{t-1}, Sigma) with
 Sigma = diag(sigma) . R . diag(sigma), sigma ~ LogNormal(0, 1) per
 component and R ~ LKJ(eta), density proportional to det(R)^(eta - 1).
 R is parameterized by its Cholesky factor so every proposal stays in
-the positive-definite cone.
+the positive-definite cone.  The walk's likelihood sees the T
+increments y_t = z_t - z_{t-1} only through their 6 x 6 scatter matrix
+S = sum_t y_t y_t':
+
+    log L = -T/2 (6 log 2 pi + log det Sigma) - tr(Sigma^-1 S) / 2
+
+(zero-mean MVN; Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3),
+so the work per chain does not grow with the number of years.
 
 Stage 3: evolve the walk one step, draw a synthetic volume sample from
 the stepped skew-normal, push it through the stepped GLM, and report
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,17 +125,34 @@ def lognormal_logpdf(x, mean: float, sd: float):
     return out if out.shape else float(out)
 
 
+def log_norm_cdf(a):
+    """log Phi(a), the standard normal log CDF.
+
+    log(ndtr(a)) for a >= -20, where it agrees with scipy's log_ndtr
+    within about 1e-15 x max(1, |log Phi(a)|) at two thirds of the cost;
+    log_ndtr on the entries below, where ndtr loses its relative
+    precision and then (past a = -38.5) underflows to 0.
+    """
+    from scipy.special import log_ndtr, ndtr
+
+    a = np.asarray(a, dtype=float)
+    low = a < -20.0
+    out = ndtr(a, out=np.empty(a.shape))
+    np.log(out, out=out, where=~low)
+    if low.any():
+        out[low] = log_ndtr(a[low])
+    return out
+
+
 def skewnorm_logpdf(x, loc, scale, shape):
     """log of 2/scale * phi((x-loc)/scale) * Phi(shape*(x-loc)/scale)."""
-    from scipy.special import log_ndtr
-
     z = (np.asarray(x, dtype=float) - loc) / scale
     return (
         math.log(2.0)
         - np.log(scale)
         - 0.5 * z * z
         - 0.5 * _LOG_2PI
-        + log_ndtr(shape * z)
+        + log_norm_cdf(shape * z)
     )
 
 
@@ -239,8 +263,8 @@ def _year_log_target(
     Row k sees the points x[k], r[k] where has_point[k].  The log
     transforms add the + log tau + log b Jacobian; a row with
     |log tau| or |log b| above 500 has density 0.  Padded points are
-    dropped with np.where, never multiplied by 0, so a non-finite term
-    there cannot turn the row's sum into nan.
+    left out of the sum by its mask, never multiplied by 0, so a
+    non-finite term there cannot turn the row's sum into nan.
     """
     inside = (np.abs(w[:, 1]) <= 500) & (np.abs(w[:, 5]) <= 500)
     w = np.where(inside[:, None], w, 0.0)  # finite stand-in for rows set to -inf below
@@ -256,7 +280,7 @@ def _year_log_target(
     )
     volume = skewnorm_logpdf(x, mu[:, None], tau[:, None] ** -0.5, alpha[:, None])
     glm = laplace_logpdf(r, beta0[:, None] + beta1[:, None] * x, b[:, None])
-    likelihood = np.where(has_point, volume + glm, 0.0).sum(axis=1)
+    likelihood = np.sum(volume + glm, axis=1, where=has_point)
     return np.where(inside, prior + likelihood + log_tau + log_b, -np.inf)
 
 
@@ -460,8 +484,9 @@ def _chol_from_free(y: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     row must fit inside the unit ball.  An invalid factor gets a unit
     diagonal where its rows do not fit, so it stays finite.
     """
+    rows, cols = _below_diagonal(dim)
     l_r = np.zeros((y.shape[0], dim, dim))
-    l_r[:, np.tri(dim, k=-1, dtype=bool)] = y  # boolean masks fill row by row
+    l_r[:, rows, cols] = y
     ss = np.einsum("sij,sij->si", l_r, l_r)
     inside = ss < 1.0
     diag = np.arange(dim)
@@ -469,16 +494,27 @@ def _chol_from_free(y: np.ndarray, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return l_r, inside.all(axis=1)
 
 
+@lru_cache(maxsize=None)
+def _below_diagonal(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only (row, column) indices of the below-diagonal entries, row by row.
+
+    Cached: np.tril_indices costs more than the fill it serves.
+    """
+    rows, cols = np.tril_indices(dim, k=-1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _walk_log_target(
     w: np.ndarray, increments: np.ndarray, dim: int, eta: float
 ) -> np.ndarray:
     """Log density of each row of w = (log sigma, free Cholesky entries).
 
-    Likelihood: product over steps of MVN(increment; 0, Sigma).
-    Priors: sigma_i ~ LogNormal(0, 1) (plus the log-space Jacobian) and
-    R ~ LKJ(eta) through its density det(R)^(eta - 1).  The triangular
-    solve is a plain forward substitution: no BLAS call, so no BLAS
-    helper thread wakes up.
+    Likelihood: product over steps of MVN(increment; 0, Sigma), whose
+    quadratic term sum_n y_n' Sigma^-1 y_n is tr(Sigma^-1 S) with S the
+    scatter matrix of the increments.  Priors: sigma_i ~ LogNormal(0, 1)
+    (plus the log-space Jacobian) and R ~ LKJ(eta) through its density
+    det(R)^(eta - 1).
     """
     l_r, valid = _chol_from_free(w[:, dim:], dim)
     log_sigma = w[:, :dim]
@@ -493,15 +529,15 @@ def _walk_log_target(
 
     n_steps = increments.shape[0]
     if n_steps:
-        # Sigma's Cholesky factor is diag(sigma) . L_R, so solving it
-        # against the increments is solving L_R against increments / sigma
-        scaled = increments.T / sigma[:, :, None]
-        u = np.empty_like(scaled)
-        for i in range(dim):
-            known = np.einsum("kj,kjn->kn", l_r[:, i, :i], u[:, :i])
-            u[:, i] = (scaled[:, i] - known) / l_r[:, i, i, None]
+        # Sigma = D L_R L_R' D with D = diag(sigma), so Sigma^-1 = N N' for
+        # N = D^-1 L_R'^-1.  L_R' is upper triangular, so its LU pivots
+        # nothing and the solve is plain back substitution; solving Sigma or
+        # R itself loses digits near the unit-ball edge and can fail as singular
+        scatter = np.einsum("ni,nj->ij", increments, increments)
+        eye = np.eye(dim)[None]  # a stack of one matrix (numpy 1.24 reads 2-d b as vectors)
+        root = np.linalg.solve(l_r.transpose(0, 2, 1), eye) / sigma[:, :, None]
+        quad = np.einsum("kia,ij,kja->k", root, scatter, root)
         log_det_sigma = 2.0 * np.sum(log_sigma, axis=1) + log_det_r
-        quad = np.sum(u * u, axis=(1, 2))
         lp += -0.5 * (n_steps * (dim * _LOG_2PI + log_det_sigma) + quad)
     return np.where(ok, lp, -np.inf)
 

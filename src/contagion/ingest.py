@@ -10,6 +10,7 @@ or recorded in an error counter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, Optional
@@ -113,6 +114,10 @@ def _record_from_obj(obj: dict) -> Optional[MessageRecord]:
         return None
     lang = obj.get("lang")
     conf = obj.get("lang_conf")
+    if conf is not None:
+        # anything but a finite number in [0, 1] (NaN, 7, an integer too big
+        # for a float, a string) becomes NaN, which lid.wire_label reads as und
+        conf = float(conf) if type(conf) in (int, float) and 0 <= conf <= 1 else math.nan
     return MessageRecord(
         id=msg_id,
         ts=ts,
@@ -120,7 +125,7 @@ def _record_from_obj(obj: dict) -> Optional[MessageRecord]:
         text=text,
         quoted_text=quoted,
         external_label=lang if isinstance(lang, str) else None,
-        external_confidence=float(conf) if isinstance(conf, (int, float)) and not isinstance(conf, bool) else None,
+        external_confidence=conf,
     )
 
 
@@ -144,7 +149,9 @@ def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterato
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # ValueError: not JSON, or an integer past the int-parsing digit
+            # limit; RecursionError: nesting deeper than the decoder's stack
             stats.errors["bad_json"] += 1
             continue
         kind = obj.get("kind") if isinstance(obj, dict) else None

@@ -228,10 +228,10 @@ def wire_label(record) -> str:
     """The language label a record carried on the wire.
 
     An absent or invalid label maps to "und", as does a wire confidence
-    below the und threshold.
+    below the und threshold or not a finite number in [0, 1].
     """
     conf = getattr(record, "external_confidence", None)
-    if conf is not None and conf < UND_THRESHOLD:
+    if conf is not None and not UND_THRESHOLD <= conf <= 1.0:
         return UND
     return normalize_language(getattr(record, "external_label", None))
 

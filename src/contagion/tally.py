@@ -30,6 +30,9 @@ RESOLUTIONS = ("day", "week", "month", "quarter", "year")
 AGGREGATORS = ("mean", "sum")
 
 CSV_HEADER = ("date", "language", "f_ot", "f_rt")
+# largest count load_csv accepts: every integer up to it is an exact float,
+# and the metrics take counts to float
+MAX_COUNT = 2**53
 
 DailyPoint = Tuple[dt.date, Optional[float]]
 Cell = Tuple[dt.date, int, int]
@@ -228,8 +231,9 @@ def load_csv(fh: TextIO) -> TallyStore:
             f_ot, f_rt = int(ot), int(rt)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
-        if f_ot < 0 or f_rt < 0:
-            raise ValueError("line %d: negative count" % lineno)
+        if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):
+            problem = "negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53"
+            raise ValueError("line %d: %s" % (lineno, problem))
         store.add_counts(date, language, f_ot, f_rt)
     return store
 

@@ -216,6 +216,48 @@ def test_ingest_out_of_range_ts_counted_not_fatal(tmp_path):
     assert run_read(tmp_path, "ingest", "--in", str(mixed), "--lid", "external") == expected
 
 
+def test_undecodable_json_lines_counted_not_fatal(tmp_path):
+    # nesting past the decoder's recursion limit raises RecursionError and an
+    # integer past the int-parsing digit limit a plain ValueError: both lines
+    # are bad_json, and ingest and compare tally the good lines and exit 0
+    good = [
+        json.dumps({"id": "1", "ts": 1559347200, "kind": "tweet", "text": "x", "lang": "en"}),
+        json.dumps({"id": "2", "ts": 1559433600, "kind": "retweet", "text": "y", "lang": "fi"}),
+    ]
+    deep = "[" * 100_000 + "]" * 100_000
+    long_int = '{"id":"3","ts":%s,"kind":"tweet","text":"x"}' % ("9" * 5000)
+    clean = tmp_path / "clean.ndjson"
+    mixed = tmp_path / "mixed.ndjson"
+    clean.write_text("\n".join(good) + "\n")
+    mixed.write_text("\n".join([deep, good[0], long_int, good[1]]) + "\n")
+    expected = run_read(tmp_path, "ingest", "--in", str(clean), "--lid", "external")
+    assert expected.count("\n") == 3  # header + both good records
+    assert run_read(tmp_path, "ingest", "--in", str(mixed), "--lid", "external") == expected
+    doc = json.loads(run_read(tmp_path, "compare", "--in", str(mixed)))
+    assert doc["n_pairs"] == 2
+    assert doc["parse_errors"] == dict.fromkeys(doc["parse_errors"], 0) | {"bad_json": 2}
+
+
+def test_wire_confidence_outside_unit_interval_is_und(tmp_path):
+    # not a finite number in [0, 1] (NaN, 7, an integer too big for a float,
+    # Infinity, -0.5, a string, true): the part is und, never a confident label
+    def line(i, conf):
+        return json.dumps({"id": str(i), "ts": 1559347200, "kind": "tweet",
+                           "text": "bonjour tout le monde", "lang": "fr"})[:-1] + ', "lang_conf": %s}' % conf
+    bad = ["NaN", "7", "1" + "0" * 400, "Infinity", "-0.5", '"0.9"', "true"]
+    confident = ["0.9", "1", "0.25"]
+    src = tmp_path / "conf.ndjson"
+    src.write_text("\n".join(line(i, c) for i, c in enumerate(bad + confident)) + "\n")
+    assert run_read(tmp_path, "ingest", "--in", str(src), "--lid", "external") == (
+        "date,language,f_ot,f_rt\n2019-06-01,fr,3,0\n2019-06-01,und,7,0\n"
+    )
+    doc = json.loads(run_read(tmp_path, "compare", "--in", str(src)))
+    labels, counts = doc["confusion"]["labels"], doc["confusion"]["counts"]
+    wire = {label: sum(row[j] for row in counts) for j, label in enumerate(labels)}
+    assert {k: v for k, v in wire.items() if v} == {"fr": 3, "und": 7}
+    assert not any(doc["parse_errors"].values())
+
+
 def test_lid_both_prefers_external_then_builtin(tmp_path):
     src = tmp_path / "two.ndjson"
     english = "the quick brown fox jumps over the lazy dog and runs far away home"
@@ -506,6 +548,17 @@ def test_exit_code_bad_shards(capsys):
         assert run("ingest", "--in", path, "--out", "/tmp/never.csv",
                    "--shards", "0") == 1
         assert capsys.readouterr().err == "error: --shards must be >= 1\n"
+
+
+@pytest.mark.parametrize("count", ["1" + "0" * 320, str(2**53 + 1)])
+def test_metric_count_above_2_53_exits_1(tmp_path, capsys, count):
+    src = tmp_path / "tally.csv"
+    src.write_text("date,language,f_ot,f_rt\n2019-01-01,en,1,0\n2019-01-02,en,1,%s\n" % count)
+    out = tmp_path / "ratio.csv"
+    assert run("metric", "--in", str(src), "--out", str(out),
+               "--metric", "ratio", "--resolution", "year") == 1
+    assert capsys.readouterr().err == "error: line 3: count above 2**53\n"
+    assert not out.exists()
 
 
 def test_exit_code_bad_glm_header(tmp_path, capsys):

@@ -13,6 +13,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import scipy.stats as st
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy.linalg import solve_triangular
+from scipy.special import log_ndtr
 
 from contagion import forecast
 from contagion.forecast import (
@@ -84,6 +86,51 @@ def test_skewnorm_logpdf_oracle():
         ours = forecast.skewnorm_logpdf(GRID, 0.5, 1.3, shape)
         ref = st.skewnorm.logpdf(GRID, a=shape, loc=0.5, scale=1.3)
         assert np.max(np.abs(ours - ref)) < 1e-10
+
+
+_LOG_PHI_EDGES = (-20.0, math.nextafter(-20.0, -math.inf), math.nextafter(-20.0, 0.0),
+                  -38.5, -1e3, 60.0, 0.0, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=hs.lists(hs.one_of(hs.floats(-1e3, 60.0), hs.sampled_from(_LOG_PHI_EDGES)),
+                  min_size=1, max_size=20))
+@example(a=list(_LOG_PHI_EDGES))
+def test_log_norm_cdf_matches_log_ndtr(a):
+    # the skew-normal's log Phi term: log(ndtr) above the -20 switch, log_ndtr
+    # below, in one call whatever mix of the two regimes a batch holds
+    a = np.array(a)
+    ours, ref = forecast.log_norm_cdf(a), log_ndtr(a)
+    assert ours.shape == a.shape
+    assert np.array_equal(np.isnan(ours), np.isnan(a))
+    exact = ~np.isfinite(ref)  # +-inf and nan: the same value, not a tolerance
+    assert np.array_equal(ours[exact], ref[exact], equal_nan=True)
+    err = np.abs(ours[~exact] - ref[~exact])
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref[~exact]))), err
+
+
+def test_log_norm_cdf_scalar():
+    assert forecast.log_norm_cdf(-3.0) == pytest.approx(float(log_ndtr(-3.0)), rel=1e-15)
+    assert forecast.log_norm_cdf(-50.0) == float(log_ndtr(-50.0))
+
+
+def test_year_log_target_far_tail_emits_no_warning():
+    # alpha * z below -38.5 makes ndtr underflow to 0; those entries go
+    # through log_ndtr, so log(0) never runs and no RuntimeWarning is raised
+    x = np.array([[1.0, 2.0, 8.0], [1.0, 2.0, 8.0]])
+    r = np.full(x.shape, 0.5)
+    has_point = np.ones(x.shape, dtype=bool)
+    w = np.array([[5.0, math.log(10.0), 20.0, 0.0, 0.0, math.log(0.2)],
+                  [5.0, math.log(10.0), -20.0, 0.0, 0.0, math.log(0.2)]])
+    alpha_z = w[:, 2, None] * (x - 5.0) * math.sqrt(10.0)
+    assert np.sum(alpha_z < -38.5) >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = forecast._year_log_target(w, x, r, has_point)
+    assert np.all(np.isfinite(got))
+    for k in range(2):
+        obs = YearObservations(2000, tuple(zip(x[k], r[k])))
+        assert got[k] == pytest.approx(_year_log_target_reference(w[k], obs), rel=1e-12)
 
 
 def test_skewnorm_zero_shape_is_normal():
@@ -532,6 +579,20 @@ def test_walk_log_target_matches_reference(data):
             assert got[k] == -math.inf
         else:
             assert got[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-12, 1e-14])
+def test_walk_log_target_near_unit_ball_edge(gap):
+    # R's last row sits gap inside the unit ball, so R is nearly singular:
+    # solving Sigma or R itself against the scatter loses up to 1e-2 of the
+    # quadratic term here, the triangular route keeps the reference's digits
+    free = [0.5, 0.6, math.sqrt(1.0 - 0.36 - gap)]
+    increments = np.array([[1.0, 1.0, 1.0], [0.5, -1.0, -1.0]])
+    for log_sigma in ([0.0, 0.0, 0.0], [-3.0, 2.0, 2.0]):
+        w = np.array(log_sigma + free)
+        got = forecast._walk_log_target(w[None], increments, 3, 2.0)[0]
+        ref = _walk_log_target_reference(w, increments, 3, 2.0)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_walk_target_lkj_term():

@@ -1,6 +1,7 @@
 """NDJSON parsing and OT/RT categorization tests."""
 
 import datetime as dt
+import math
 
 from contagion.ingest import (
     OT,
@@ -44,6 +45,8 @@ def test_quote_record():
 def test_malformed_lines_counted_and_skipped():
     lines = [
         "{not json",
+        "[" * 100_000 + "]" * 100_000,  # RecursionError inside json.loads
+        '{"id":"1","ts":%s,"kind":"tweet","text":"x"}' % ("9" * 5000),  # int digit limit
         '{"id":"1","ts":1,"kind":"boost","text":"x"}',
         '{"id":"1","ts":"soon","kind":"tweet","text":"x"}',
         '{"id":"","ts":1,"kind":"tweet","text":"x"}',
@@ -53,7 +56,7 @@ def test_malformed_lines_counted_and_skipped():
     ]
     records, stats = _parse(lines)
     assert [r.id for r in records] == ["ok"]
-    assert stats.errors["bad_json"] == 1
+    assert stats.errors["bad_json"] == 3
     assert stats.errors["unknown_kind"] == 1
     assert stats.errors["bad_record"] == 3
     assert stats.errors["missing_quoted_text"] == 1
@@ -105,6 +108,17 @@ def test_external_label_fields():
     assert records[0].external_confidence == 0.9
     assert records[1].external_label is None
     assert records[1].external_confidence is None
+
+
+def test_external_confidence_outside_unit_interval_is_nan():
+    confs = ["NaN", "7", "1" + "0" * 400, "-0.5", '"0.9"', "true", "null", "1", "0.5"]
+    lines = ['{"id":"1","ts":1,"kind":"tweet","text":"x","lang":"en","lang_conf":%s}' % c
+             for c in confs]
+    records, stats = _parse(lines)
+    assert stats.parsed == len(confs)
+    got = [r.external_confidence for r in records]
+    assert all(math.isnan(v) for v in got[:6])
+    assert got[6:] == [None, 1.0, 0.5] and type(got[7]) is float
 
 
 def test_categorize_reply_is_ot():

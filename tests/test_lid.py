@@ -315,6 +315,11 @@ def test_resolve_external_low_confidence_is_und():
     assert lid.wire_label(rec) == "und"
     rec = _record(external_label="fr", external_confidence=0.41)
     assert lid.wire_label(rec) == "fr"
+    # not a finite number in [0, 1]: und as well
+    for conf in (math.nan, math.inf, 7.0, -0.5, 10**400, 1.0 + 1e-12):
+        assert lid.wire_label(_record(external_label="fr", external_confidence=conf)) == "und"
+    for conf in (lid.UND_THRESHOLD, 1.0, 1):
+        assert lid.wire_label(_record(external_label="fr", external_confidence=conf)) == "fr"
 
 
 # -- serialization -----------------------------------------------------------

@@ -167,6 +167,11 @@ def test_load_csv_rejects_negative_counts():
         tally.load_csv(io.StringIO(text))
 
 
+def test_load_csv_accepts_counts_up_to_2_53():
+    text = "date,language,f_ot,f_rt\n2019-01-01,en,%d,%d\n" % (2**53, 2**53)
+    assert tally.load_csv(io.StringIO(text)).entries == {"en": {D(2019, 1, 1): [2**53, 2**53]}}
+
+
 def test_load_csv_rejects_malformed_row():
     text = "date,language,f_ot,f_rt\n2019-01-01,en,1\n"
     with pytest.raises(ValueError, match="line 2"):
@@ -179,6 +184,9 @@ def test_load_csv_rejects_malformed_row():
         ("2019-13-01,en,1,0", "line 4: month must be in 1..12"),
         ("2019-01-02,en,x,0", "line 4: invalid literal for int() with base 10: 'x'"),
         ("2019-01-02,en,0,-2", "line 4: negative count"),
+        ("2019-01-02,en,%d,0" % (2**53 + 1), "line 4: count above 2**53"),
+        ("2019-01-02,en,0,1%s" % ("0" * 320), "line 4: count above 2**53"),
+        ("2019-01-02,en,-1,1%s" % ("0" * 320), "line 4: negative count"),
         ("2019-01-02,en,1,0,9", "line 4: expected 4 fields, got 5"),
     ],
 )

@@ -6,6 +6,12 @@ on a UTC day in years 1-9999), ``kind`` (tweet|reply|retweet|quote),
 ``lang_conf``. Malformed lines never abort a run: they are counted and
 skipped, so that every input line is either parsed into exactly one record
 or recorded in an error counter.
+
+Records are immutable named tuples. A record's ``day()`` is the UTC date of
+its ``ts``: day number ``ts // 86400`` (floor division, so negative stamps
+fall on the days before 1970-01-01) counted from 1970-01-01, where each
+distinct day number becomes a ``date`` once and is then served from a
+bounded cache keyed by that integer.
 """
 from __future__ import annotations
 
@@ -13,7 +19,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 KINDS = ("tweet", "reply", "retweet", "quote")
 
@@ -54,8 +61,18 @@ class ParseStats:
         return out
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+# proleptic Gregorian ordinal of day number 0 (ts // 86400 == 0)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+# 8,192 days (22 years) holds a stream spanning the paper's 2009-2019 whole
+@lru_cache(maxsize=1 << 13)
+def _utc_date(day_number: int) -> date:
+    """The date `day_number` days after 1970-01-01 (before it if negative)."""
+    return date.fromordinal(_EPOCH_ORDINAL + day_number)
+
+
+class MessageRecord(NamedTuple):
     """One wire message, timestamped in UTC seconds."""
 
     id: str
@@ -67,11 +84,10 @@ class MessageRecord:
     external_confidence: Optional[float] = None
 
     def day(self) -> date:
-        return datetime.fromtimestamp(self.ts, tz=timezone.utc).date()
+        return _utc_date(self.ts // 86400)
 
 
-@dataclass(frozen=True)
-class CategorizedMessage:
+class CategorizedMessage(NamedTuple):
     """A single OT or RT unit produced from a message."""
 
     id: str
@@ -83,29 +99,25 @@ class CategorizedMessage:
     external_confidence: Optional[float] = None
 
     def day(self) -> date:
-        return datetime.fromtimestamp(self.ts, tz=timezone.utc).date()
+        return _utc_date(self.ts // 86400)
 
 
-def _coerce_ts(value) -> Optional[int]:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and _TS_MIN <= value <= _TS_MAX:
-        return value
-    return None
-
-
-def _record_from_obj(obj: dict) -> Optional[MessageRecord]:
+def _record_from_obj(obj) -> Optional[MessageRecord]:
+    """The record a decoded line holds, or None if it is not a valid message."""
     if not isinstance(obj, dict):
         return None
     msg_id = obj.get("id")
     text = obj.get("text")
     kind = obj.get("kind")
-    ts = _coerce_ts(obj.get("ts"))
-    if not isinstance(msg_id, str) or not msg_id or ts is None:
+    ts = obj.get("ts")
+    if type(ts) is not int:
+        # an integral float is a timestamp; a bool or anything else is not
+        ts = int(ts) if type(ts) is float and ts.is_integer() else None
+    if ts is None or not _TS_MIN <= ts <= _TS_MAX:
         return None
-    if not isinstance(text, str) or not isinstance(kind, str):
+    if not isinstance(msg_id, str) or not msg_id or not isinstance(text, str):
+        return None
+    if kind not in KINDS:
         return None
     quoted = obj.get("quoted_text")
     if kind != "quote":
@@ -119,14 +131,18 @@ def _record_from_obj(obj: dict) -> Optional[MessageRecord]:
         # for a float, a string) becomes NaN, which lid.wire_label reads as und
         conf = float(conf) if type(conf) in (int, float) and 0 <= conf <= 1 else math.nan
     return MessageRecord(
-        id=msg_id,
-        ts=ts,
-        kind=kind,
-        text=text,
-        quoted_text=quoted,
-        external_label=lang if isinstance(lang, str) else None,
-        external_confidence=conf,
+        msg_id, ts, kind, text, quoted, lang if isinstance(lang, str) else None, conf
     )
+
+
+def _rejection(obj) -> str:
+    """The error key of a decoded line that _record_from_obj rejects."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if isinstance(kind, str) and kind not in KINDS:
+        return "unknown_kind"
+    if kind == "quote" and not isinstance(obj.get("quoted_text"), str):
+        return "missing_quoted_text"
+    return "bad_record"
 
 
 def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterator[MessageRecord]:
@@ -137,33 +153,25 @@ def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterato
     """
     if stats is None:
         stats = ParseStats()
+    errors = stats.errors
     for line in lines:
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
-                stats.errors["bad_encoding"] += 1
+                errors["bad_encoding"] += 1
                 continue
-        if not line.strip():
-            stats.errors["empty_line"] += 1
-            continue
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError):
-            # ValueError: not JSON, or an integer past the int-parsing digit
-            # limit; RecursionError: nesting deeper than the decoder's stack
-            stats.errors["bad_json"] += 1
-            continue
-        kind = obj.get("kind") if isinstance(obj, dict) else None
-        if isinstance(kind, str) and kind not in KINDS:
-            stats.errors["unknown_kind"] += 1
-            continue
-        if isinstance(obj, dict) and kind == "quote" and not isinstance(obj.get("quoted_text"), str):
-            stats.errors["missing_quoted_text"] += 1
+            # ValueError: a blank line, not JSON, or an integer past the
+            # int-parsing digit limit; RecursionError: nesting deeper than
+            # the decoder's stack
+            errors["bad_json" if line.strip() else "empty_line"] += 1
             continue
         record = _record_from_obj(obj)
         if record is None:
-            stats.errors["bad_record"] += 1
+            errors[_rejection(obj)] += 1
             continue
         stats.parsed += 1
         yield record
@@ -177,19 +185,14 @@ def categorize(msg: MessageRecord) -> list[CategorizedMessage]:
     text as RT, in that order. Quote halves get ``#c``/``#r`` id suffixes
     and inherit the record-level external label.
     """
-    common = dict(
-        ts=msg.ts,
-        kind=msg.kind,
-        external_label=msg.external_label,
-        external_confidence=msg.external_confidence,
-    )
-    if msg.kind in ("tweet", "reply"):
-        return [CategorizedMessage(id=msg.id, text=msg.text, category=OT, **common)]
-    if msg.kind == "retweet":
-        return [CategorizedMessage(id=msg.id, text=msg.text, category=RT, **common)]
-    if msg.kind == "quote":
+    msg_id, ts, kind, text, quoted, label, conf = msg
+    if kind in ("tweet", "reply"):
+        return [CategorizedMessage(msg_id, ts, kind, text, OT, label, conf)]
+    if kind == "retweet":
+        return [CategorizedMessage(msg_id, ts, kind, text, RT, label, conf)]
+    if kind == "quote":
         return [
-            CategorizedMessage(id=msg.id + "#c", text=msg.text, category=OT, **common),
-            CategorizedMessage(id=msg.id + "#r", text=msg.quoted_text or "", category=RT, **common),
+            CategorizedMessage(msg_id + "#c", ts, kind, text, OT, label, conf),
+            CategorizedMessage(msg_id + "#r", ts, kind, quoted or "", RT, label, conf),
         ]
-    raise ValueError("unknown message kind: %r" % (msg.kind,))
+    raise ValueError("unknown message kind: %r" % (kind,))

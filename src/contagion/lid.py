@@ -224,14 +224,21 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     return LidPrediction(language, confidence, bucket_confidence(confidence))
 
 
+def wire_confident(confidence: Optional[float]) -> bool:
+    """Whether a wire confidence lets its label through: absent, or in [0.25, 1].
+
+    One below the und threshold or not a finite number in [0, 1] does not.
+    """
+    return confidence is None or UND_THRESHOLD <= confidence <= 1.0
+
+
 def wire_label(record) -> str:
     """The language label a record carried on the wire.
 
     An absent or invalid label maps to "und", as does a wire confidence
     below the und threshold or not a finite number in [0, 1].
     """
-    conf = getattr(record, "external_confidence", None)
-    if conf is not None and not UND_THRESHOLD <= conf <= 1.0:
+    if not wire_confident(getattr(record, "external_confidence", None)):
         return UND
     return normalize_language(getattr(record, "external_label", None))
 

@@ -227,7 +227,10 @@ def load_csv(fh: TextIO) -> TallyStore:
         try:
             date = dates.get(day)
             if date is None:
-                date = dates[day] = dt.date.fromisoformat(day)
+                date = dt.date.fromisoformat(day)
+                if date.isoformat() != day:  # save_csv writes YYYY-MM-DD only
+                    raise ValueError("date %r is not in YYYY-MM-DD form" % day)
+                dates[day] = date
             f_ot, f_rt = int(ot), int(rt)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None

@@ -6,6 +6,7 @@ serialization (column order, float repr, trailing newline).
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from contagion import cli, forecast, ingest, lid
+from contagion import cli, forecast, ingest, lid, tally
+from contagion.sanitize import sanitize
 
 from conftest import FIXTURES, REPO, trend_rows
 
@@ -295,6 +297,93 @@ def test_lid_both_classifies_only_parts_without_a_wire_label(tmp_path, monkeypat
     assert len(calls) == len(unlabeled)
 
 
+def test_ingest_tallies_through_the_tally_namespace(tmp_path, monkeypatch):
+    # the benchmark's tracer patches these three names on contagion.tally and
+    # checks each traced ingest's parse counts against its input
+    seen = {"stats": [], "records": 0, "categorize": 0, "parts": 0, "accumulate": 0}
+    parse, categorize, accumulate = tally.parse_ndjson, tally.categorize, tally.accumulate
+
+    def counting_parse(lines, stats=None):
+        seen["stats"].append(stats)
+        for record in parse(lines, stats=stats):
+            seen["records"] += 1
+            yield record
+
+    def counting_categorize(record):
+        parts = categorize(record)
+        seen["categorize"] += 1
+        seen["parts"] += len(parts)
+        return parts
+
+    def counting_accumulate(store, part, label):
+        seen["accumulate"] += 1
+        return accumulate(store, part, label)
+
+    monkeypatch.setattr(tally, "parse_ndjson", counting_parse)
+    monkeypatch.setattr(tally, "categorize", counting_categorize)
+    monkeypatch.setattr(tally, "accumulate", counting_accumulate)
+    out = run_read(tmp_path, "ingest", "--in", MINI, "--lid", "external")
+    assert out == (GOLDEN / "tally_external.csv").read_text()
+
+    stats = ingest.ParseStats()
+    with open(MINI, "rb") as fh:
+        records = list(ingest.parse_ndjson(fh, stats=stats))
+    n_parts = sum(len(ingest.categorize(r)) for r in records)
+    assert len(seen["stats"]) == 1 and seen["stats"][0] is not None
+    assert seen["stats"][0].errors == stats.errors and seen["stats"][0].parsed == len(records)
+    assert seen["records"] == seen["categorize"] == len(records)
+    assert seen["parts"] == seen["accumulate"] == n_parts == 26
+
+
+# one wire label repeated at confidences that pass, then fail, then pass,
+# and the reverse: remembering a label's code must not let it through when
+# its own confidence says und
+MEMO_LABELS = [" EN_us ", "PT-br", "", None, "x" * 10_000, "ES_ñ", "日本語", "ZH_tw"]
+MEMO_CONFS = [[0.9, 0.1, 7, None, "0.8", 0.25], [0.2, float("nan"), 0.6, 1.0, 0.24]]
+
+
+def _memo_stream(path: pathlib.Path) -> None:
+    texts = ["the house is big and the garden is green", "la casa es grande y verde"]
+    lines, n = [], 0
+    for label in MEMO_LABELS:
+        for confs in MEMO_CONFS:
+            for conf in confs:
+                rec = {"id": "m%d" % n, "ts": 1546300800 + 86400 * (n % 3),
+                       "kind": ("tweet", "quote", "retweet")[n % 3], "text": texts[n % 2]}
+                if rec["kind"] == "quote":
+                    rec["quoted_text"] = texts[(n + 1) % 2]
+                if label is not None:
+                    rec["lang"] = label
+                if conf is not None:
+                    rec["lang_conf"] = conf
+                lines.append(json.dumps(rec, ensure_ascii=False))
+                n += 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("source", ["external", "both"])
+def test_wire_label_memo_matches_wire_label_per_part(tmp_path, source):
+    stream = tmp_path / "labels.ndjson"
+    _memo_stream(stream)
+    out = run_read(tmp_path, "ingest", "--in", str(stream), "--lid", source)
+
+    model = lid.default_model()
+    expected = tally.TallyStore()
+    with open(stream, "rb") as fh:
+        parts = [p for r in ingest.parse_ndjson(fh) for p in ingest.categorize(r)]
+    for part in parts:
+        label = lid.wire_label(part)
+        if source == "both" and label == lid.UND:
+            label = lid.classify(model, sanitize(part.text)).language
+        tally.accumulate(expected, part, label)
+    buf = io.StringIO()
+    tally.save_csv(expected, buf)
+    assert out == buf.getvalue()
+    if source == "external":
+        labels = {row.split(",")[1] for row in out.splitlines()[1:]}
+        assert labels == {"en-us", "pt-br", "zh-tw", "und"}
+
+
 # (line prefix, replacement or None to drop the line) for a model file
 # written by dumps_model for languages aa and bb
 BAD_MODEL_EDITS = {
@@ -558,6 +647,21 @@ def test_metric_count_above_2_53_exits_1(tmp_path, capsys, count):
     assert run("metric", "--in", str(src), "--out", str(out),
                "--metric", "ratio", "--resolution", "year") == 1
     assert capsys.readouterr().err == "error: line 3: count above 2**53\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("day", ["20190102", "2019-W01-3", "2019W013"])
+def test_metric_non_canonical_date_exits_1(tmp_path, capsys, day):
+    # save_csv writes date.isoformat() only; other forms date.fromisoformat
+    # may accept (2019-W01-1 would load as 2018-12-31) are rejected
+    src = tmp_path / "tally.csv"
+    src.write_text("date,language,f_ot,f_rt\n2019-01-01,en,1,0\n%s,en,1,2\n" % day)
+    out = tmp_path / "ratio.csv"
+    assert run("metric", "--in", str(src), "--out", str(out),
+               "--metric", "ratio", "--resolution", "day") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -3,6 +3,11 @@
 import datetime as dt
 import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+
+from contagion import ingest
 from contagion.ingest import (
     OT,
     RT,
@@ -209,3 +214,88 @@ def test_fixture_stream_counts(mini_ndjson):
     parts = [p for r in records for p in categorize(r)]
     assert len(parts) == 26
     assert stats.error_total == 5
+
+
+# -- record contract ---------------------------------------------------------------
+
+# day numbers (ts // 86400) whose midnight and the second before it are both
+# stamps of the calendar
+_MIDNIGHT_DAYS = hs.integers(ingest._TS_MIN // 86400 + 1, ingest._TS_MAX // 86400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hs.one_of(
+        hs.integers(ingest._TS_MIN, ingest._TS_MAX),
+        hs.integers(ingest._TS_MIN, -1),
+        _MIDNIGHT_DAYS.flatmap(lambda d: hs.sampled_from([86400 * d - 1, 86400 * d])),
+    )
+)
+@example(ingest._TS_MIN)
+@example(ingest._TS_MIN + 86399)
+@example(ingest._TS_MAX)
+@example(ingest._TS_MAX - 86399)
+@example(-1)
+@example(0)
+@example(-86400)
+@example(-86401)
+def test_day_is_the_utc_date_of_ts(ts):
+    expected = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
+    record = MessageRecord(id="1", ts=ts, kind="tweet", text="x")
+    part = CategorizedMessage(id="1", ts=ts, kind="tweet", text="x", category=OT)
+    assert record.day() == expected
+    hits = ingest._utc_date.cache_info().hits
+    assert part.day() == expected  # the same day number: served from the cache
+    assert ingest._utc_date.cache_info().hits == hits + 1
+
+
+RECORD_FIELDS = {
+    MessageRecord: dict(
+        id="m1", ts=1559433599, kind="quote", text="agree", quoted_text="orig",
+        external_label=" EN_us ", external_confidence=0.75,
+    ),
+    CategorizedMessage: dict(
+        id="m1#c", ts=1559433599, kind="quote", text="agree", category=OT,
+        external_label=" EN_us ", external_confidence=0.75,
+    ),
+}
+# a value for each field that differs from both samples
+OTHER_VALUES = dict(
+    id="m2", ts=1559433600, kind="tweet", text="other", quoted_text=None, category=RT,
+    external_label=None, external_confidence=0.5,
+)
+# what the records printed when they were frozen dataclasses
+RECORD_REPRS = {
+    MessageRecord: (
+        "MessageRecord(id='m1', ts=1559433599, kind='quote', text='agree', "
+        "quoted_text='orig', external_label=' EN_us ', external_confidence=0.75)"
+    ),
+    CategorizedMessage: (
+        "CategorizedMessage(id='m1#c', ts=1559433599, kind='quote', text='agree', "
+        "category='OT', external_label=' EN_us ', external_confidence=0.75)"
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", [MessageRecord, CategorizedMessage])
+def test_record_equality_hash_immutability_and_repr(cls):
+    fields = RECORD_FIELDS[cls]
+    record, twin = cls(**fields), cls(**fields)
+    assert record == twin and hash(record) == hash(twin)
+    for name in fields:
+        assert cls(**{**fields, name: OTHER_VALUES[name]}) != record, name
+        with pytest.raises(AttributeError):
+            setattr(record, name, OTHER_VALUES[name])
+    assert record == twin
+    assert repr(record) == RECORD_REPRS[cls]
+
+
+def test_record_defaults_repr():
+    assert repr(MessageRecord(id="1", ts=0, kind="tweet", text="hi")) == (
+        "MessageRecord(id='1', ts=0, kind='tweet', text='hi', quoted_text=None, "
+        "external_label=None, external_confidence=None)"
+    )
+    assert repr(CategorizedMessage(id="1", ts=0, kind="tweet", text="hi", category=OT)) == (
+        "CategorizedMessage(id='1', ts=0, kind='tweet', text='hi', category='OT', "
+        "external_label=None, external_confidence=None)"
+    )

@@ -37,6 +37,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 GLM_INPUT_HEADER = ("year", "language", "log10_n", "ratio")
+# no finite count has |log10_n| above ~308; a larger one is a bad field,
+# and squared in the forecast's likelihood it would overflow
+MAX_ABS_LOG10_N = 400.0
 SERIES_HEADER = ("bucket_start", "language", "metric", "value")
 
 
@@ -266,6 +269,11 @@ def _read_glm_rows(path: str) -> List[tuple]:
                 raise CliError("line %d: bad numeric field" % lineno) from None
             if not (math.isfinite(log10_n) and math.isfinite(ratio)):
                 raise CliError("line %d: non-finite numeric field" % lineno)
+            if abs(log10_n) > MAX_ABS_LOG10_N:
+                raise CliError(
+                    "line %d: log10_n %r outside [-%g, %g]"
+                    % (lineno, log10_n, MAX_ABS_LOG10_N, MAX_ABS_LOG10_N)
+                )
             rows.append((year, row[1], log10_n, ratio))
     return rows
 

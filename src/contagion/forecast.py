@@ -34,12 +34,16 @@ predictive quantiles.
 
 Chains run in lockstep: one sampler kernel steps a batch of chains as
 the rows of an array, every (year, chain) pair of stage 1 in one batch
-and every walk chain in another.  Densities are written out by hand
-(only scipy.special primitives) so each term is auditable against the
-model statement above; they broadcast, so each batched target is one
-call per term.  scipy.special is imported inside the densities that use
-it, so importing this module does not load scipy; the CLI imports this
-module (and with it numpy) only in the ``forecast`` command.
+and every walk chain in another.  Each target is written out by hand
+as closed forms in the sampled (log-space) coordinates, term by term
+against the model statement above.  Stage 1 reads each year's points
+through sufficient statistics built once per call (n, mean, residual
+sum and centred sum of squares of x), so a step makes only two passes
+over the points: log Phi of the skew-normal's shape term and the
+Laplace residuals |r - beta0 - beta1 x|.  The only scipy in the module
+is scipy.special's ndtr and log_ndtr, imported inside log_norm_cdf, so
+importing this module does not load scipy; the CLI imports this module
+(and with it numpy) only in the ``forecast`` command.
 """
 
 from __future__ import annotations
@@ -71,60 +75,6 @@ _TARGET_ACCEPT = 0.3
 # densities
 
 
-def norm_logpdf(x, mean, sd):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
-
-
-def gamma_logpdf(x, shape: float, rate: float):
-    """Gamma in the (shape, rate) convention: mean = shape / rate."""
-    from scipy.special import gammaln
-
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    ok = x > 0
-    xv = x[ok]
-    out[ok] = (
-        shape * math.log(rate)
-        + (shape - 1.0) * np.log(xv)
-        - rate * xv
-        - gammaln(shape)
-    )
-    return out if out.shape else float(out)
-
-
-def invgamma_logpdf(x, shape: float, scale: float):
-    """Inverse-Gamma in the (shape, scale) convention: mode = scale/(shape+1)."""
-    from scipy.special import gammaln
-
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    ok = x > 0
-    xv = x[ok]
-    out[ok] = (
-        shape * math.log(scale)
-        - (shape + 1.0) * np.log(xv)
-        - scale / xv
-        - gammaln(shape)
-    )
-    return out if out.shape else float(out)
-
-
-def laplace_logpdf(x, loc, scale):
-    return -np.log(2.0 * scale) - np.abs(np.asarray(x, dtype=float) - loc) / scale
-
-
-def lognormal_logpdf(x, mean: float, sd: float):
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    ok = x > 0
-    lx = np.log(x[ok])
-    out[ok] = (
-        -lx - math.log(sd) - 0.5 * _LOG_2PI - (lx - mean) ** 2 / (2.0 * sd * sd)
-    )
-    return out if out.shape else float(out)
-
-
 def log_norm_cdf(a):
     """log Phi(a), the standard normal log CDF.
 
@@ -138,22 +88,12 @@ def log_norm_cdf(a):
     a = np.asarray(a, dtype=float)
     low = a < -20.0
     out = ndtr(a, out=np.empty(a.shape))
-    np.log(out, out=out, where=~low)
     if low.any():
+        np.log(out, out=out, where=~low)
         out[low] = log_ndtr(a[low])
+    else:
+        np.log(out, out=out)
     return out
-
-
-def skewnorm_logpdf(x, loc, scale, shape):
-    """log of 2/scale * phi((x-loc)/scale) * Phi(shape*(x-loc)/scale)."""
-    z = (np.asarray(x, dtype=float) - loc) / scale
-    return (
-        math.log(2.0)
-        - np.log(scale)
-        - 0.5 * z * z
-        - 0.5 * _LOG_2PI
-        + log_norm_cdf(shape * z)
-    )
 
 
 def sample_skewnorm(rng: np.random.Generator, loc, scale, shape, size):
@@ -193,10 +133,6 @@ class GlmState:
         return np.array(
             [self.mu, self.tau, self.alpha, self.beta0, self.beta1, self.b]
         )
-
-    @classmethod
-    def from_array(cls, z: Sequence[float]) -> "GlmState":
-        return cls(*(float(v) for v in z))
 
 
 @dataclass(frozen=True)
@@ -255,33 +191,76 @@ def _padded_columns(
     return x, r, has_point
 
 
+def _volume_stats(
+    x: np.ndarray, has_point: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's (n, mean, residual sum, centred sum of squares) over its points.
+
+    The residual sum sum(x - mean) is 0 but for the mean's rounding;
+    keeping it makes
+    sum((x - mu)^2) = Sxx + (mean - mu) * (2 * residual + n * (mean - mu))
+    exact for any computed mean, so no digits are lost when mu sits
+    near a mean far from 0.
+    """
+    n = np.count_nonzero(has_point, axis=1)
+    mean = np.sum(x, axis=1, where=has_point) / np.maximum(n, 1)
+    dev = x - mean[:, None]
+    resid = np.sum(dev, axis=1, where=has_point)
+    sxx = np.sum(dev * dev, axis=1, where=has_point)
+    return n, mean, resid, sxx
+
+
+# the priors' normalising constants: four unit normals, Gamma(10, rate 1)
+# and InverseGamma(6, scale 1)
+_LOG_PRIOR_CONST = -2.0 * _LOG_2PI - math.lgamma(10.0) - math.lgamma(6.0)
+
+
 def _year_log_target(
-    w: np.ndarray, x: np.ndarray, r: np.ndarray, has_point: np.ndarray
+    w: np.ndarray,
+    x: np.ndarray,
+    r: np.ndarray,
+    has_point: np.ndarray,
+    stats: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Stage-1 log posterior of each row of w = (mu, log tau, alpha, beta0, beta1, log b).
 
-    Row k sees the points x[k], r[k] where has_point[k].  The log
-    transforms add the + log tau + log b Jacobian; a row with
-    |log tau| or |log b| above 500 has density 0.  Padded points are
-    left out of the sum by its mask, never multiplied by 0, so a
-    non-finite term there cannot turn the row's sum into nan.
+    Row k sees the points x[k], r[k] where has_point[k]; stats are
+    _volume_stats(x, has_point).  With the + log tau + log b Jacobian
+    the priors are closed forms in (log tau, log b):
+
+        -((mu - 5)^2 + (alpha - 1)^2 + beta0^2 + beta1^2) / 2
+        + 10 log tau - tau - 6 log b - 1/b + const.
+
+    The skew-normal's Gaussian part is
+    n (log 2 + log tau / 2 - log 2 pi / 2) - tau sum((x - mu)^2) / 2,
+    from the stats, and the Laplace part -n log 2b - sum|r - beta0 - beta1 x| / b
+    (Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3), so only
+    log Phi(alpha sqrt(tau) (x - mu)) and |r - beta0 - beta1 x| run per
+    point.  A row with |log tau| or |log b| above 500 has density 0.
+    Padded points are left out of the sum by its mask, never multiplied
+    by 0, so a non-finite term there cannot turn the row's sum into nan.
     """
+    n, mean, resid, sxx = stats
     inside = (np.abs(w[:, 1]) <= 500) & (np.abs(w[:, 5]) <= 500)
     w = np.where(inside[:, None], w, 0.0)  # finite stand-in for rows set to -inf below
     mu, log_tau, alpha, beta0, beta1, log_b = w.T
-    tau, b = np.exp(log_tau), np.exp(log_b)
-    prior = (
-        norm_logpdf(mu, 5.0, 1.0)
-        + gamma_logpdf(tau, 10.0, 1.0)
-        + norm_logpdf(alpha, 1.0, 1.0)
-        + norm_logpdf(beta0, 0.0, 1.0)
-        + norm_logpdf(beta1, 0.0, 1.0)
-        + invgamma_logpdf(b, 6.0, 1.0)
-    )
-    volume = skewnorm_logpdf(x, mu[:, None], tau[:, None] ** -0.5, alpha[:, None])
-    glm = laplace_logpdf(r, beta0[:, None] + beta1[:, None] * x, b[:, None])
-    likelihood = np.sum(volume + glm, axis=1, where=has_point)
-    return np.where(inside, prior + likelihood + log_tau + log_b, -np.inf)
+    tau, inv_b = np.exp(log_tau), np.exp(-log_b)
+    gap = mean - mu
+    quad = (mu - 5.0) ** 2 + (alpha - 1.0) ** 2 + beta0 * beta0 + beta1 * beta1
+    quad += tau * (sxx + gap * (2.0 * resid + n * gap))
+    closed = (10.0 + 0.5 * n) * log_tau - (6.0 + n) * log_b - tau - inv_b
+    closed -= 0.5 * (quad + n * _LOG_2PI)
+    shape = x - mu[:, None]
+    shape *= (alpha * np.sqrt(tau))[:, None]
+    per_point = log_norm_cdf(shape)
+    fit = beta1[:, None] * x
+    fit += beta0[:, None]
+    np.subtract(r, fit, out=fit)
+    np.abs(fit, out=fit)
+    fit *= inv_b[:, None]
+    per_point -= fit
+    closed += np.sum(per_point, axis=1, where=has_point)
+    return np.where(inside, closed + _LOG_PRIOR_CONST, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +343,7 @@ def _metropolis(
     draws one (K, d) normal block and K uniforms from rng.
 
     Returns the (K, draws, d) post-warmup states and each row's
-    acceptance rate.
+    acceptance rate.  A proposal whose target is nan or +inf is rejected.
     """
     warmup, draws = config.warmup, config.draws
     k, dim = x0.shape
@@ -373,6 +352,7 @@ def _metropolis(
     if not np.all(np.isfinite(lp)):
         raise ValueError("initial state has zero posterior density")
     log_step = np.full(k, math.log(0.1))
+    step_size = np.exp(log_step)[:, None]
     prop_chol = np.tile(np.eye(dim), (k, 1, 1))
     rm_clock = np.zeros(k)
     refreshes = {warmup // 2, (3 * warmup) // 4} if warmup >= 1000 else set()
@@ -380,19 +360,22 @@ def _metropolis(
     out = np.empty((draws, k, dim))
     accepted = np.zeros(k)
     for t in range(warmup + draws):
-        step = np.einsum("kij,kj->ki", prop_chol, rng.standard_normal((k, dim)))
-        proposal = x + np.exp(log_step)[:, None] * step
+        proposal = np.einsum("kij,kj->ki", prop_chol, rng.standard_normal((k, dim)))
+        proposal *= step_size
+        proposal += x
         lp_prop = log_target(proposal)
-        lp_prop = np.where(np.isfinite(lp_prop), lp_prop, -np.inf)
+        # nan compares false; +inf would pass the draw, so it is ruled out
         ok = np.log(np.maximum(rng.random(k), 1e-300)) < lp_prop - lp
-        x = np.where(ok[:, None], proposal, x)
-        lp = np.where(ok, lp_prop, lp)
+        ok &= lp_prop < np.inf
+        np.copyto(x, proposal, where=ok[:, None])
+        np.copyto(lp, lp_prop, where=ok)
         if t < warmup:
             rm_clock += 1
             log_step += rm_clock**-0.6 * (ok - _TARGET_ACCEPT)
             trace[t] = x
             if t + 1 in refreshes:
                 _refresh_shapes(trace[(t + 1) // 2 : t + 1], prop_chol, log_step, rm_clock)
+            step_size = np.exp(log_step)[:, None]
         else:
             out[t - warmup] = x
             accepted += ok
@@ -425,8 +408,9 @@ def sample_posterior(
     rng = _stage_rng(config.seed, _STAGE_YEARS)
     base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
     starts = base + 0.1 * rng.standard_normal((n_years * chains, 6))
+    stats = _volume_stats(x, has_point)
     samples, rates = _metropolis(
-        lambda w: _year_log_target(w, x, r, has_point), starts, rng, config
+        lambda w: _year_log_target(w, x, r, has_point, stats), starts, rng, config
     )
     samples = samples.reshape(n_years, chains * config.draws, 6)
     rates = rates.reshape(n_years, chains)
@@ -510,35 +494,34 @@ def _walk_log_target(
 ) -> np.ndarray:
     """Log density of each row of w = (log sigma, free Cholesky entries).
 
-    Likelihood: product over steps of MVN(increment; 0, Sigma), whose
-    quadratic term sum_n y_n' Sigma^-1 y_n is tr(Sigma^-1 S) with S the
-    scatter matrix of the increments.  Priors: sigma_i ~ LogNormal(0, 1)
-    (plus the log-space Jacobian) and R ~ LKJ(eta) through its density
-    det(R)^(eta - 1).
+    Likelihood: product over the n steps of MVN(increment; 0, Sigma),
+    whose quadratic term sum_n y_n' Sigma^-1 y_n is the squared norm of
+    Y N for Sigma^-1 = N N', and log det Sigma = 2 sum log sigma +
+    log det R.  Priors: sigma_i ~ LogNormal(0, 1), which with the
+    log-space Jacobian is -(log sigma_i)^2 / 2 - log(2 pi) / 2 in
+    log sigma, and R ~ LKJ(eta) through its density det(R)^(eta - 1).
     """
     l_r, valid = _chol_from_free(w[:, dim:], dim)
     log_sigma = w[:, :dim]
     ok = valid & np.all(np.abs(log_sigma) <= 500, axis=1)
     log_sigma = np.where(ok[:, None], log_sigma, 0.0)  # finite stand-in for -inf rows
-    sigma = np.exp(log_sigma)
+    n_steps = increments.shape[0]
 
     log_det_r = 2.0 * np.sum(np.log(np.diagonal(l_r, axis1=1, axis2=2)), axis=1)
-    lp = np.sum(lognormal_logpdf(sigma, 0.0, 1.0), axis=1)
-    lp += np.sum(log_sigma, axis=1)  # Jacobian of the log transform
-    lp += (eta - 1.0) * log_det_r
-
-    n_steps = increments.shape[0]
+    # the prior's -(log sigma)^2 / 2 and the likelihood's -n log sigma, per entry
+    lp = -0.5 * np.einsum("ki,ki->k", log_sigma, log_sigma + 2.0 * n_steps)
+    lp += (eta - 1.0 - 0.5 * n_steps) * log_det_r
+    lp -= 0.5 * (n_steps + 1) * dim * _LOG_2PI
     if n_steps:
         # Sigma = D L_R L_R' D with D = diag(sigma), so Sigma^-1 = N N' for
         # N = D^-1 L_R'^-1.  L_R' is upper triangular, so its LU pivots
         # nothing and the solve is plain back substitution; solving Sigma or
         # R itself loses digits near the unit-ball edge and can fail as singular
-        scatter = np.einsum("ni,nj->ij", increments, increments)
         eye = np.eye(dim)[None]  # a stack of one matrix (numpy 1.24 reads 2-d b as vectors)
-        root = np.linalg.solve(l_r.transpose(0, 2, 1), eye) / sigma[:, :, None]
-        quad = np.einsum("kia,ij,kja->k", root, scatter, root)
-        log_det_sigma = 2.0 * np.sum(log_sigma, axis=1) + log_det_r
-        lp += -0.5 * (n_steps * (dim * _LOG_2PI + log_det_sigma) + quad)
+        root = np.linalg.solve(l_r.transpose(0, 2, 1), eye)
+        root /= np.exp(log_sigma)[:, :, None]
+        y_root = increments @ root
+        lp -= 0.5 * np.einsum("kna,kna->k", y_root, y_root)
     return np.where(ok, lp, -np.inf)
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: paths, the synthetic trend used by the forecast tests,
-the closed forms those tests check the sampler against, arbitrary tally
-stores, and the dict-based rebucket and rolling mean the calendar tests
-check against."""
+the one-density-per-function references and closed forms those tests
+check the sampler against, arbitrary tally stores, and the dict-based
+rebucket and rolling mean the calendar tests check against."""
 
 import datetime as dt
 import math
@@ -50,6 +50,81 @@ def trend_rows(points_per_year: int = 150):
         r = p["beta0"] + p["beta1"] * x + rng.laplace(0.0, p["b"], size=points_per_year)
         rows.extend((year, "en", float(xi), float(ri)) for xi, ri in zip(x, r))
     return rows
+
+
+# -- reference densities -------------------------------------------------------
+#
+# The library's targets fold these into closed forms; here they stay one
+# density per function, for the scipy oracles and the one-state-at-a-time
+# references the batched targets are checked against.
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def norm_logpdf(x, mean, sd):
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
+
+
+def gamma_logpdf(x, shape: float, rate: float):
+    """Gamma in the (shape, rate) convention: mean = shape / rate."""
+    from scipy.special import gammaln
+
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    ok = x > 0
+    xv = x[ok]
+    out[ok] = (
+        shape * math.log(rate)
+        + (shape - 1.0) * np.log(xv)
+        - rate * xv
+        - gammaln(shape)
+    )
+    return out if out.shape else float(out)
+
+
+def invgamma_logpdf(x, shape: float, scale: float):
+    """Inverse-Gamma in the (shape, scale) convention: mode = scale/(shape+1)."""
+    from scipy.special import gammaln
+
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    ok = x > 0
+    xv = x[ok]
+    out[ok] = (
+        shape * math.log(scale)
+        - (shape + 1.0) * np.log(xv)
+        - scale / xv
+        - gammaln(shape)
+    )
+    return out if out.shape else float(out)
+
+
+def laplace_logpdf(x, loc, scale):
+    return -np.log(2.0 * scale) - np.abs(np.asarray(x, dtype=float) - loc) / scale
+
+
+def lognormal_logpdf(x, mean: float, sd: float):
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    ok = x > 0
+    lx = np.log(x[ok])
+    out[ok] = (
+        -lx - math.log(sd) - 0.5 * _LOG_2PI - (lx - mean) ** 2 / (2.0 * sd * sd)
+    )
+    return out if out.shape else float(out)
+
+
+def skewnorm_logpdf(x, loc, scale, shape):
+    """log of 2/scale * phi((x-loc)/scale) * Phi(shape*(x-loc)/scale)."""
+    z = (np.asarray(x, dtype=float) - loc) / scale
+    return (
+        math.log(2.0)
+        - np.log(scale)
+        - 0.5 * z * z
+        - 0.5 * _LOG_2PI
+        + forecast.log_norm_cdf(shape * z)
+    )
 
 
 def skewnorm_mean(loc: float, scale: float, shape: float) -> float:

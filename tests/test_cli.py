@@ -514,12 +514,17 @@ def loaded():
 """
 
 
-def _fresh_python(script, *args):
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return env
+
+
+def _fresh_python(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -680,6 +685,32 @@ def test_exit_code_non_finite_glm_field(tmp_path, capsys, fields):
     bad.write_text("year,language,log10_n,ratio\n2019,en,5.0,0.5\n2020,en,%s\n" % fields)
     assert run("forecast", "--in", str(bad), "--out", str(tmp_path / "f.json")) == 1
     assert "line 3: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log10_n", ["1e160", "1e200", "-400.5", "401"])
+def test_forecast_rejects_log10_n_no_count_can_have(tmp_path, log10_n):
+    # squared in the likelihood, 1e160 overflowed: a RuntimeWarning on
+    # stderr ahead of the error line.  The reader now names the line instead
+    bad = tmp_path / "bad.csv"
+    rows = ["%d,en,%s,0.5" % (year, 5.0 + 0.01 * i) for year in (2017, 2018, 2019)
+            for i in range(20)]
+    rows[25] = "2018,en,%s,0.5" % log10_n
+    bad.write_text("year,language,log10_n,ratio\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "f.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "contagion.cli", "forecast", "--in", str(bad),
+         "--out", str(out), "--chains", "1", "--warmup", "0", "--draws", "1000"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 27: log10_n %r outside [-400, 400]\n" % float(log10_n)
+    assert not out.exists()
+
+
+def test_glm_reader_keeps_log10_n_on_the_bound(tmp_path):
+    path = tmp_path / "edge.csv"
+    path.write_text("year,language,log10_n,ratio\n2019,en,400.0,0.5\n2019,th,-400,0.5\n")
+    assert cli._read_glm_rows(str(path)) == [(2019, "en", 400.0, 0.5), (2019, "th", -400.0, 0.5)]
 
 
 def test_exit_code_unknown_subcommand(capsys):

@@ -35,8 +35,14 @@ from contagion.forecast import (
 from conftest import (
     REPO,
     TREND_YEARS,
+    gamma_logpdf,
+    invgamma_logpdf,
+    laplace_logpdf,
     lkj_marginal_cdf,
+    lognormal_logpdf,
+    norm_logpdf,
     sample_lkj_correlation,
+    skewnorm_logpdf,
     skewnorm_mean,
     trend_rows,
 )
@@ -49,41 +55,41 @@ POSGRID = np.linspace(1e-3, 12.0, 301)
 
 
 def test_norm_logpdf_oracle():
-    ours = forecast.norm_logpdf(GRID, 1.2, 0.7)
+    ours = norm_logpdf(GRID, 1.2, 0.7)
     ref = st.norm.logpdf(GRID, loc=1.2, scale=0.7)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
 def test_gamma_logpdf_oracle():
-    ours = forecast.gamma_logpdf(POSGRID, 10.0, 1.0)
+    ours = gamma_logpdf(POSGRID, 10.0, 1.0)
     ref = st.gamma.logpdf(POSGRID, a=10.0, scale=1.0)  # rate 1 == scale 1
     assert np.max(np.abs(ours - ref)) < 1e-12
-    ours = forecast.gamma_logpdf(POSGRID, 3.5, 2.0)
+    ours = gamma_logpdf(POSGRID, 3.5, 2.0)
     ref = st.gamma.logpdf(POSGRID, a=3.5, scale=0.5)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
 def test_invgamma_logpdf_oracle():
-    ours = forecast.invgamma_logpdf(POSGRID, 6.0, 1.0)
+    ours = invgamma_logpdf(POSGRID, 6.0, 1.0)
     ref = st.invgamma.logpdf(POSGRID, a=6.0, scale=1.0)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
 def test_laplace_logpdf_oracle():
-    ours = forecast.laplace_logpdf(GRID, 0.3, 0.05)
+    ours = laplace_logpdf(GRID, 0.3, 0.05)
     ref = st.laplace.logpdf(GRID, loc=0.3, scale=0.05)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
 def test_lognormal_logpdf_oracle():
-    ours = forecast.lognormal_logpdf(POSGRID, 0.0, 1.0)
+    ours = lognormal_logpdf(POSGRID, 0.0, 1.0)
     ref = st.lognorm.logpdf(POSGRID, s=1.0, scale=1.0)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
 def test_skewnorm_logpdf_oracle():
     for shape in (-3.0, -1.0, 0.0, 1.0, 4.0):
-        ours = forecast.skewnorm_logpdf(GRID, 0.5, 1.3, shape)
+        ours = skewnorm_logpdf(GRID, 0.5, 1.3, shape)
         ref = st.skewnorm.logpdf(GRID, a=shape, loc=0.5, scale=1.3)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
@@ -126,7 +132,7 @@ def test_year_log_target_far_tail_emits_no_warning():
     assert np.sum(alpha_z < -38.5) >= 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = forecast._year_log_target(w, x, r, has_point)
+        got = _batched_year_target(w, x, r, has_point)
     assert np.all(np.isfinite(got))
     for k in range(2):
         obs = YearObservations(2000, tuple(zip(x[k], r[k])))
@@ -135,8 +141,8 @@ def test_year_log_target_far_tail_emits_no_warning():
 
 def test_skewnorm_zero_shape_is_normal():
     x = np.linspace(-8.0, 8.0, 1001)
-    sn = forecast.skewnorm_logpdf(x, 5.0, 0.4, 0.0)
-    n = forecast.norm_logpdf(x, 5.0, 0.4)
+    sn = skewnorm_logpdf(x, 5.0, 0.4, 0.0)
+    n = norm_logpdf(x, 5.0, 0.4)
     assert np.max(np.abs(sn - n)) <= 1e-9
     assert np.max(np.abs(np.exp(sn) - np.exp(n))) <= 1e-9
 
@@ -151,11 +157,11 @@ def test_skewnorm_mean_formula():
 def test_priors_integrate_to_one():
     # each prior component, integrated by the trapezoid rule, is ~1
     grids = {
-        "mu": (np.linspace(-5.0, 15.0, 40001), lambda x: forecast.norm_logpdf(x, 5.0, 1.0)),
-        "tau": (np.linspace(1e-9, 60.0, 40001), lambda x: forecast.gamma_logpdf(x, 10.0, 1.0)),
-        "alpha": (np.linspace(-9.0, 11.0, 40001), lambda x: forecast.norm_logpdf(x, 1.0, 1.0)),
-        "beta": (np.linspace(-10.0, 10.0, 40001), lambda x: forecast.norm_logpdf(x, 0.0, 1.0)),
-        "b": (np.linspace(1e-9, 20.0, 40001), lambda x: forecast.invgamma_logpdf(x, 6.0, 1.0)),
+        "mu": (np.linspace(-5.0, 15.0, 40001), lambda x: norm_logpdf(x, 5.0, 1.0)),
+        "tau": (np.linspace(1e-9, 60.0, 40001), lambda x: gamma_logpdf(x, 10.0, 1.0)),
+        "alpha": (np.linspace(-9.0, 11.0, 40001), lambda x: norm_logpdf(x, 1.0, 1.0)),
+        "beta": (np.linspace(-10.0, 10.0, 40001), lambda x: norm_logpdf(x, 0.0, 1.0)),
+        "b": (np.linspace(1e-9, 20.0, 40001), lambda x: invgamma_logpdf(x, 6.0, 1.0)),
     }
     for name, (grid, logpdf) in grids.items():
         mass = np.trapezoid(np.exp(logpdf(grid)), grid)
@@ -199,12 +205,12 @@ def log_prior(z: GlmState) -> float:
     if z.tau <= 0 or z.b <= 0:
         return -math.inf
     return float(
-        forecast.norm_logpdf(z.mu, 5.0, 1.0)
-        + forecast.gamma_logpdf(z.tau, 10.0, 1.0)
-        + forecast.norm_logpdf(z.alpha, 1.0, 1.0)
-        + forecast.norm_logpdf(z.beta0, 0.0, 1.0)
-        + forecast.norm_logpdf(z.beta1, 0.0, 1.0)
-        + forecast.invgamma_logpdf(z.b, 6.0, 1.0)
+        norm_logpdf(z.mu, 5.0, 1.0)
+        + gamma_logpdf(z.tau, 10.0, 1.0)
+        + norm_logpdf(z.alpha, 1.0, 1.0)
+        + norm_logpdf(z.beta0, 0.0, 1.0)
+        + norm_logpdf(z.beta1, 0.0, 1.0)
+        + invgamma_logpdf(z.b, 6.0, 1.0)
     )
 
 
@@ -213,8 +219,8 @@ def log_likelihood(z: GlmState, obs: YearObservations) -> float:
         return 0.0
     x, r = obs.columns
     omega = z.tau ** -0.5
-    volume_term = forecast.skewnorm_logpdf(x, z.mu, omega, z.alpha)
-    glm_term = forecast.laplace_logpdf(r, z.beta0 + z.beta1 * x, z.b)
+    volume_term = skewnorm_logpdf(x, z.mu, omega, z.alpha)
+    glm_term = laplace_logpdf(r, z.beta0 + z.beta1 * x, z.b)
     return float(np.sum(volume_term) + np.sum(glm_term))
 
 
@@ -234,6 +240,12 @@ def _year_log_target_reference(w: np.ndarray, obs: YearObservations) -> float:
     return log_posterior(z, obs) + log_tau + log_b
 
 
+def _batched_year_target(w, x, r, has_point):
+    """The library's stage-1 target with the stats sample_posterior builds."""
+    stats = forecast._volume_stats(x, has_point)
+    return forecast._year_log_target(w, x, r, has_point, stats)
+
+
 def _state(**kw):
     base = dict(mu=5.0, tau=10.0, alpha=1.0, beta0=-1.0, beta1=0.2, b=0.05)
     base.update(kw)
@@ -242,7 +254,7 @@ def _state(**kw):
 
 def test_log_prior_peak_term():
     # the mu prior term at its mean is the standard normal peak
-    assert forecast.norm_logpdf(5.0, 5.0, 1.0) == pytest.approx(
+    assert norm_logpdf(5.0, 5.0, 1.0) == pytest.approx(
         math.log(1.0 / math.sqrt(2 * math.pi)), abs=1e-12
     )
 
@@ -289,12 +301,21 @@ def test_point_on_regression_line_hits_laplace_peak():
     x = 5.2
     obs = YearObservations(2019, ((x, z.beta0 + z.beta1 * x),))
     ll = log_likelihood(z, obs)
-    skew = float(forecast.skewnorm_logpdf(x, z.mu, z.tau ** -0.5, z.alpha))
+    skew = float(skewnorm_logpdf(x, z.mu, z.tau ** -0.5, z.alpha))
     assert ll - skew == pytest.approx(-math.log(2 * z.b), abs=1e-12)
 
 
-_YEAR_POINTS = hs.lists(
-    hs.tuples(hs.floats(-5.0, 12.0), hs.floats(1e-6, 1.0 - 1e-6)), max_size=12
+_RATIO = hs.floats(1e-6, 1.0 - 1e-6)
+_YEAR_POINTS = hs.lists(hs.tuples(hs.floats(-5.0, 12.0), _RATIO), max_size=12)
+# x bunched within 1e-6 of one value (1e8, or anywhere up to the CLI
+# reader's |log10_n| <= 400 bound), down to points an ulp apart or equal,
+# or spread over that whole range
+_HOSTILE_YEAR_POINTS = hs.one_of(
+    hs.tuples(
+        hs.one_of(hs.sampled_from([1e8, 400.0, -400.0, 0.1]), hs.floats(-400.0, 400.0)),
+        hs.lists(hs.tuples(hs.floats(-1e-6, 1e-6), _RATIO), max_size=12),
+    ).map(lambda year: [(year[0] + dx, r) for dx, r in year[1]]),
+    hs.lists(hs.tuples(hs.floats(-400.0, 400.0), _RATIO), max_size=12),
 )
 # log tau and log b reach past the |log| > 500 guard on both sides
 _GLM_ROWS = hs.lists(
@@ -319,20 +340,54 @@ _GLM_ROWS = hs.lists(
           (5.0, 0.0, 1.0, 0.0, 0.0, -500.5)],
 )
 def test_year_log_target_matches_reference(years, rows):
-    # ragged and empty years share one padded batch; row k reads year k mod n
+    _assert_year_target_matches_reference(years, rows)
+
+
+def _assert_year_target_matches_reference(years, rows):
+    """Ragged and empty years share one padded batch; row k reads year k mod n.
+
+    The batch raises no warning and is -inf exactly where the reference is,
+    else within 1e-12 of it.
+    """
     observations = tuple(
         YearObservations(2000 + i, tuple(points)) for i, points in enumerate(years)
     )
     w = np.array(rows)
     year_of_row = np.arange(len(w)) % len(observations)
     x, r, has_point = (a[year_of_row] for a in forecast._padded_columns(observations))
-    got = forecast._year_log_target(w, x, r, has_point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _batched_year_target(w, x, r, has_point)
     for k, row in enumerate(w):
         ref = _year_log_target_reference(row, observations[year_of_row[k]])
         if ref == -math.inf:
             assert got[k] == -math.inf
         else:
             assert got[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(years=hs.lists(_HOSTILE_YEAR_POINTS, min_size=1, max_size=4), data=hs.data())
+@example(years=[[(1e8, 0.5), (1e8, 0.5), (1e8 + 2.0**-26, 0.5)], []], data=None)
+def test_year_log_target_matches_reference_on_hostile_points(years, data):
+    # x bunched far from 0 and mu on or near the points, where the per-year
+    # stats must not lose what the per-point reference keeps
+    xs = [x for points in years for x, _ in points]
+    if data is None:
+        # the mean of points one ulp apart rounds to 1e8, mu sits 0.4 off
+        # it and tau dominates: without the residual sum of the stats,
+        # tau * sum((x - mu)^2) is off by 2 * 0.4 * tau * ulp
+        rows = [(1e8 + 0.4, 60.0, 0.0, 0.5, 0.0, 0.0),
+                (1e8, 500.0, 20.0, 1.0, -10.0, -500.0)]
+    else:
+        near_point = hs.sampled_from(xs or [0.0]).flatmap(
+            lambda c: hs.sampled_from([c]) | hs.floats(c - 1.0, c + 1.0))
+        mu = hs.floats(-400.0, 400.0) | near_point
+        rows = data.draw(hs.lists(
+            hs.tuples(mu, hs.floats(-600.0, 600.0), hs.floats(-20.0, 20.0),
+                      hs.floats(-10.0, 10.0), hs.floats(-10.0, 10.0), hs.floats(-600.0, 600.0)),
+            min_size=1, max_size=6))
+    _assert_year_target_matches_reference(years, rows)
 
 
 # -- observation plumbing ------------------------------------------------------
@@ -364,7 +419,7 @@ def test_glm_state_array_roundtrip():
     z = _state()
     arr = z.as_array()
     assert arr.tolist() == [5.0, 10.0, 1.0, -1.0, 0.2, 0.05]
-    assert GlmState.from_array(arr) == z
+    assert GlmState(*arr) == z
 
 
 # -- config and posterior container --------------------------------------------
@@ -490,6 +545,106 @@ def test_failed_shape_refresh_keeps_that_row_only():
         assert (log_step[i], rm_clock[i]) == (math.log(2.38 / math.sqrt(2)), 0.0)
 
 
+def _metropolis_reference(log_target, x0, rng, config):
+    """The lockstep kernel as first written: np.where copies of the state, the
+    step size exponentiated every step and non-finite targets mapped to -inf."""
+    warmup, draws = config.warmup, config.draws
+    k, dim = x0.shape
+    x = x0.copy()
+    lp = log_target(x)
+    if not np.all(np.isfinite(lp)):
+        raise ValueError("initial state has zero posterior density")
+    log_step = np.full(k, math.log(0.1))
+    prop_chol = np.tile(np.eye(dim), (k, 1, 1))
+    rm_clock = np.zeros(k)
+    refreshes = {warmup // 2, (3 * warmup) // 4} if warmup >= 1000 else set()
+    trace = np.empty((warmup, k, dim))
+    out = np.empty((draws, k, dim))
+    accepted = np.zeros(k)
+    for t in range(warmup + draws):
+        step = np.einsum("kij,kj->ki", prop_chol, rng.standard_normal((k, dim)))
+        proposal = x + np.exp(log_step)[:, None] * step
+        lp_prop = log_target(proposal)
+        lp_prop = np.where(np.isfinite(lp_prop), lp_prop, -np.inf)
+        ok = np.log(np.maximum(rng.random(k), 1e-300)) < lp_prop - lp
+        x = np.where(ok[:, None], proposal, x)
+        lp = np.where(ok, lp_prop, lp)
+        if t < warmup:
+            rm_clock += 1
+            log_step += rm_clock**-0.6 * (ok - forecast._TARGET_ACCEPT)
+            trace[t] = x
+            if t + 1 in refreshes:
+                forecast._refresh_shapes(
+                    trace[(t + 1) // 2 : t + 1], prop_chol, log_step, rm_clock
+                )
+        else:
+            out[t - warmup] = x
+            accepted += ok
+    return out.transpose(1, 0, 2), accepted / draws
+
+
+def _kernel_year_target():
+    observations = forecast.observations_from_rows(
+        [r for r in trend_rows(points_per_year=40) if r[0] in TREND_YEARS[:2]]
+    )
+    x, r, has_point = (np.repeat(a, 2, axis=0) for a in forecast._padded_columns(observations))
+    base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
+    x0 = base + 0.1 * np.random.default_rng(21).standard_normal((4, 6))
+    return (lambda w: _batched_year_target(w, x, r, has_point)), x0
+
+
+def _kernel_non_finite_target():
+    # a standard normal that is nan past +1.5 and +inf below -1.5 in its
+    # first coordinate: both kinds of proposal must be rejected
+    def target(w):
+        lp = -0.5 * np.sum(w * w, axis=1)
+        lp[w[:, 0] > 1.5] = np.nan
+        lp[w[:, 0] < -1.5] = np.inf
+        return lp
+
+    return target, np.zeros((3, 2))
+
+
+_CHOLESKY = np.linalg.cholesky
+
+
+def _failing_cholesky(row: int, k: int):
+    """np.linalg.cholesky that raises for one row at every shape refresh."""
+    calls = iter(range(10**6))
+
+    def cholesky(a):
+        if next(calls) % k == row:
+            raise np.linalg.LinAlgError("not positive definite")
+        return _CHOLESKY(a)
+
+    return cholesky
+
+
+@pytest.mark.parametrize(
+    "case, warmup, fail_row",
+    [
+        ("year", 1000, None),  # both shape refreshes fire
+        ("year", 100, None),  # no refresh fires
+        ("year", 1000, 1),  # row 1 keeps its shape, step and clock
+        ("non_finite", 1000, None),
+    ],
+)
+def test_metropolis_matches_reference_kernel(monkeypatch, case, warmup, fail_row):
+    target, x0 = {"year": _kernel_year_target, "non_finite": _kernel_non_finite_target}[case]()
+    config = SamplerConfig(seed=0, chains=4, warmup=warmup, draws=250)
+    runs = []
+    for kernel in (_metropolis_reference, forecast._metropolis):
+        if fail_row is not None:
+            monkeypatch.setattr(np.linalg, "cholesky", _failing_cholesky(fail_row, len(x0)))
+        runs.append(kernel(target, x0, np.random.default_rng(31), config))
+    (ref_draws, ref_rates), (draws, rates) = runs
+    assert np.array_equal(draws, ref_draws)
+    assert np.array_equal(rates, ref_rates)
+    assert np.all((rates > 0.0) & (rates < 1.0))
+    if case == "non_finite":
+        assert np.all(np.abs(draws[:, :, 0]) <= 1.5)
+
+
 def test_acceptance_warning_thresholds():
     assert forecast._acceptance_warnings([0.05], "x") != ()
     assert forecast._acceptance_warnings([0.7], "x") != ()
@@ -528,7 +683,7 @@ def _walk_log_target_reference(
         return -math.inf
 
     log_det_r = 2.0 * float(np.sum(np.log(np.diag(l_r))))
-    lp = float(np.sum(forecast.lognormal_logpdf(sigma, 0.0, 1.0)))
+    lp = float(np.sum(lognormal_logpdf(sigma, 0.0, 1.0)))
     lp += float(np.sum(log_sigma))  # Jacobian of the log transform
     lp += (eta - 1.0) * log_det_r
 

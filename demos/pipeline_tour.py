@@ -99,14 +99,14 @@ def main() -> None:
 
     buf = io.StringIO()
     tally.save_csv(whole, buf)
-    first, last = whole.span()
-    print("tally rows: %d cells spanning %s .. %s" % (len(whole), first, last))
+    rows = whole.rows()  # (date, language, f_ot, f_rt), sorted by date
+    print("tally rows: %d cells spanning %s .. %s" % (len(whole), rows[0][0], rows[-1][0]))
 
     print("\n%-6s %8s %8s %8s %8s %10s" % ("lang", "f_ot", "f_rt", "ratio", "gain_db", "appetite"))
     for lang in sorted(whole.languages()):
-        cells = whole.daily_counts(lang)
-        f_ot = sum(c.f_ot for c in cells)
-        f_rt = sum(c.f_rt for c in cells)
+        cells = whole.cells(lang)  # (date, f_ot, f_rt)
+        f_ot = sum(c[1] for c in cells)
+        f_rt = sum(c[2] for c in cells)
         ratio = metrics.contagion_ratio(f_ot, f_rt)
         gain = metrics.gain(f_ot, f_rt)
         appetite = RETWEET_APPETITE.get(lang)

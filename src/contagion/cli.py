@@ -91,10 +91,6 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-def _cell(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
-
-
 # ---------------------------------------------------------------------------
 # labeling
 
@@ -176,50 +172,28 @@ def cmd_metric(args: argparse.Namespace) -> None:
             raise CliError("--window requires --resolution day")
     store = _load_store(args)
 
+    # csv.writer writes a float as its repr and None as an empty field
     if args.metric == "glm-input":
+        header = GLM_INPUT_HEADER
         rows = metrics.annual_glm_table(store, method=args.method)
-        if args.out_format == "csv":
-            text = _csv_text(
-                GLM_INPUT_HEADER,
-                [(y, lang, repr(x), repr(r)) for y, lang, x, r in rows],
-            )
-        else:
-            text = _json_text(
-                [
-                    {"year": y, "language": lang, "log10_n": x, "ratio": r}
-                    for y, lang, x, r in rows
-                ]
-            )
-        _emit(args, text)
-        return
-
-    languages = [args.language] if args.language else list(store.languages())
-    out_rows = []
-    for lang in languages:
-        if args.window is not None:
-            points = tally.rolling_mean(
-                metrics.daily_series(store, lang, args.metric), args.window
-            )
-        else:
-            points = metrics.aggregate_metric(
-                store, lang, args.resolution, args.metric, args.method
-            ).points
-        for start, value in points:
-            out_rows.append((start.isoformat(), lang, value))
+    else:
+        header = SERIES_HEADER
+        rows = []
+        for lang in [args.language] if args.language else store.languages():
+            if args.window is not None:
+                points = tally.rolling_mean(
+                    metrics.daily_series(store, lang, args.metric), args.window
+                )
+            else:
+                points = metrics.aggregate_metric(
+                    store, lang, args.resolution, args.metric, args.method
+                ).points
+            rows.extend((start.isoformat(), lang, args.metric, v) for start, v in points)
 
     if args.out_format == "csv":
-        text = _csv_text(
-            SERIES_HEADER,
-            [(d, lang, args.metric, _cell(v)) for d, lang, v in out_rows],
-        )
+        _emit(args, _csv_text(header, rows))
     else:
-        text = _json_text(
-            [
-                {"bucket_start": d, "language": lang, "metric": args.metric, "value": v}
-                for d, lang, v in out_rows
-            ]
-        )
-    _emit(args, text)
+        _emit(args, _json_text([dict(zip(header, row)) for row in rows]))
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
@@ -297,14 +271,9 @@ def cmd_forecast(args: argparse.Namespace) -> None:
     result = forecast_mod.forecast_pipeline(rows, sampler)
     _emit(args, _json_text(result.summary))
     if args.draws_out:
-        bundle = result.bundle
-        draw_rows = [
-            tuple(repr(float(bundle.state_draws[k][i])) for k in forecast_mod.PARAM_NAMES)
-            for i in range(bundle.n_draws)
-        ]
-        _atomic_write(
-            args.draws_out, _csv_text(forecast_mod.PARAM_NAMES, draw_rows)
-        )
+        draws = result.bundle.state_draws
+        draw_rows = zip(*(draws[k].tolist() for k in forecast_mod.PARAM_NAMES))
+        _atomic_write(args.draws_out, _csv_text(forecast_mod.PARAM_NAMES, draw_rows))
 
 
 def cmd_train_lid(args: argparse.Namespace) -> None:

@@ -307,18 +307,23 @@ def _refresh_shapes(
 ) -> None:
     """Refit each row's proposal shape to its recent (n, K, d) trace, in place.
 
-    A row whose empirical covariance has no Cholesky factor keeps its
+    A row whose empirical covariance has no finite Cholesky factor (a
+    degenerate trace, or one holding a non-finite state) keeps its
     previous shape, step size and Robbins-Monro clock.
     """
     n, k, dim = recent.shape
-    centered = recent - recent.mean(axis=0)
-    cov = np.einsum("nki,nkj->kij", centered, centered) / (n - 1)
+    with np.errstate(invalid="ignore"):  # inf - inf or inf * 0 in a non-finite row
+        centered = recent - recent.mean(axis=0)
+        cov = np.einsum("nki,nkj->kij", centered, centered) / (n - 1)
     cov += 1e-12 * np.eye(dim)
     for i in range(k):
         try:
-            prop_chol[i] = np.linalg.cholesky(cov[i])
+            factor = np.linalg.cholesky(cov[i])
         except np.linalg.LinAlgError:
-            continue  # degenerate trace; keep this row's previous shape
+            continue
+        if not np.isfinite(factor).all():  # cholesky returns nan for a nan cov
+            continue
+        prop_chol[i] = factor
         log_step[i] = math.log(2.38 / math.sqrt(dim))
         rm_clock[i] = 0
 

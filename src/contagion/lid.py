@@ -335,10 +335,6 @@ def loads_model(data: str) -> NgramModel:
     )
 
 
-def save_model(model: NgramModel, path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
-
-
 def load_model(path) -> NgramModel:
     return loads_model(Path(path).read_text(encoding="utf-8"))
 

@@ -23,14 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .tally import (
-    AGGREGATORS,
-    RESOLUTIONS,
-    BucketedSeries,
-    Cell,
-    TallyStore,
-    rebucket,
-)
+from .tally import RESOLUTIONS, BucketedSeries, Cell, TallyStore, rebucket
 
 METRICS = ("ratio", "gain", "p_ot", "p_rt")
 METHODS = ("mean_of_daily", "ratio_of_sums")

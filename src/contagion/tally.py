@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Iterable, Optional, Sequence, TextIO, Tuple
 
 from .ingest import OT, CategorizedMessage, ParseStats, categorize, parse_ndjson
 
@@ -36,6 +36,7 @@ MAX_COUNT = 2**53
 
 DailyPoint = Tuple[dt.date, Optional[float]]
 Cell = Tuple[dt.date, int, int]
+Row = Tuple[dt.date, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,13 @@ class TallyStore:
     def languages(self) -> Tuple[str, ...]:
         return tuple(sorted(self.entries))
 
-    def span(self) -> Optional[Tuple[dt.date, dt.date]]:
-        """(first, last) observed day across all languages, or None if empty."""
-        if not self.entries:
-            return None
-        return min(map(min, self.entries.values())), max(map(max, self.entries.values()))
-
-    def rows(self) -> Iterator[DayTally]:
-        """All cells as DayTally records, sorted by (date, language)."""
-        cells = sorted(
-            (date, lang, cell)
+    def rows(self) -> list[Row]:
+        """All cells as (date, language, f_ot, f_rt) tuples, sorted by (date, language)."""
+        return sorted(
+            (date, lang, f_ot, f_rt)
             for lang, days in self.entries.items()
-            for date, cell in days.items()
+            for date, (f_ot, f_rt) in days.items()
         )
-        for date, lang, (f_ot, f_rt) in cells:
-            yield DayTally(date, lang, f_ot, f_rt)
 
     def cells(self, language: str) -> list[Cell]:
         """This language's cells only, as plain (date, f_ot, f_rt) tuples sorted by date."""
@@ -152,9 +145,6 @@ class TallyStore:
         return tuple(
             DayTally(date, language, f_ot, f_rt) for date, f_ot, f_rt in self.cells(language)
         )
-
-    def total_messages(self) -> int:
-        return sum(f_ot + f_rt for days in self.entries.values() for f_ot, f_rt in days.values())
 
 
 def accumulate(store: TallyStore, msg: CategorizedMessage, label: str) -> TallyStore:
@@ -168,11 +158,8 @@ def merge(a: TallyStore, b: TallyStore) -> TallyStore:
     out = TallyStore()
     for store in (a, b):
         for lang, days in store.entries.items():
-            out_days = out.entries.setdefault(lang, {})
             for date, (f_ot, f_rt) in days.items():
-                cell = out_days.setdefault(date, [0, 0])
-                cell[0] += f_ot
-                cell[1] += f_rt
+                out.add_counts(date, lang, f_ot, f_rt)
         for key, n in store.errors.items():
             out.count_error(key, n)
     return out
@@ -203,8 +190,7 @@ def save_csv(store: TallyStore, fh: TextIO) -> None:
     """Write the store as `date,language,f_ot,f_rt`, sorted by (date, language)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in store.rows():
-        writer.writerow((row.date.isoformat(), row.language, row.f_ot, row.f_rt))
+    writer.writerows(store.rows())  # str(date) is its ISO form
 
 
 def load_csv(fh: TextIO) -> TallyStore:

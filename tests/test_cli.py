@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from contagion import cli, forecast, ingest, lid, tally
+from contagion import cli, forecast, ingest, lid, metrics, tally
+from contagion.sampler import SamplerConfig
 from contagion.sanitize import sanitize
 
 from conftest import FIXTURES, REPO, trend_rows
@@ -465,6 +466,77 @@ def test_metric_rolling_window_at_calendar_edges(tmp_path, days):
     assert out == (
         "bucket_start,language,metric,value\n%s,en,ratio,0.5\n%s,en,ratio,0.75\n" % days
     )
+
+
+# -- the table writer: one policy for csv and json --------------------------------
+
+
+def _csv_and_json(tmp_path, *argv):
+    text = run_read(tmp_path, *argv, "--format", "csv")
+    doc = json.loads(run_read(tmp_path, *argv, "--format", "json"))
+    return list(csv.reader(text.splitlines())), doc
+
+
+@pytest.mark.parametrize("resolution", ["day", "week"])
+def test_metric_undefined_value_is_empty_csv_field_and_json_null(tmp_path, resolution):
+    # 2019-01-02 has no organic message (ratio undefined); the weeks of
+    # 2019-01-07 and 2019-01-14 hold no day at all
+    tally_csv = tmp_path / "tally.csv"
+    tally_csv.write_text(
+        "date,language,f_ot,f_rt\n"
+        "2019-01-01,en,2,1\n2019-01-02,en,0,3\n2019-01-21,en,4,4\n"
+    )
+    rows, doc = _csv_and_json(
+        tmp_path, "metric", "--in", str(tally_csv), "--resolution", resolution
+    )
+    assert rows[0] == list(cli.SERIES_HEADER)
+    assert all(set(d) == set(cli.SERIES_HEADER) for d in doc)
+    assert [[d[k] for k in cli.SERIES_HEADER] for d in doc] == [
+        row[:3] + [None if row[3] == "" else float(row[3])] for row in rows[1:]
+    ]
+    assert all(row[3] == "" or row[3] == repr(float(row[3])) for row in rows[1:])
+    values = {row[0]: row[3] for row in rows[1:]}
+    if resolution == "day":
+        assert len(values) == 21
+        assert (values["2019-01-01"], values["2019-01-02"], values["2019-01-21"]) == (
+            "0.5", "", "1.0"
+        )
+    else:
+        assert values == {
+            "2018-12-31": "0.5", "2019-01-07": "", "2019-01-14": "", "2019-01-21": "1.0"
+        }
+
+
+@pytest.mark.parametrize("method", ["mean_of_daily", "ratio_of_sums"])
+def test_glm_input_csv_fields_are_float_reprs(tmp_path, method):
+    rows, doc = _csv_and_json(
+        tmp_path, "metric", "--in", ANNUAL, "--metric", "glm-input", "--method", method
+    )
+    with open(ANNUAL, encoding="utf-8", newline="") as fh:
+        expected = metrics.annual_glm_table(tally.load_csv(fh), method=method)
+    assert rows[0] == list(cli.GLM_INPUT_HEADER)
+    assert rows[1:] == [[str(y), lang, repr(x), repr(r)] for y, lang, x, r in expected]
+    assert [tuple(d[k] for k in cli.GLM_INPUT_HEADER) for d in doc] == list(expected)
+
+
+def test_draws_out_values_are_float_reprs_of_the_state_draws(tmp_path):
+    short = tmp_path / "glm.csv"
+    with open(GLM_INPUT, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if line.startswith("year") or int(line.split(",")[0]) <= 2011]
+    short.write_text("\n".join(lines) + "\n")
+    draws_out = tmp_path / "draws.csv"
+    settings_argv = ["--seed", "3", "--chains", "2", "--warmup", "200", "--draws", "500"]
+    run_read(tmp_path, "forecast", "--in", str(short), "--language", "en",
+             *settings_argv, "--draws-out", str(draws_out))
+    rows = cli._read_glm_rows(str(short))
+    config = SamplerConfig(seed=3, chains=2, warmup=200, draws=500)
+    bundle = forecast.forecast_pipeline([r for r in rows if r[1] == "en"], config).bundle
+    expected = [list(forecast.PARAM_NAMES)] + [
+        [repr(float(bundle.state_draws[k][i])) for k in forecast.PARAM_NAMES]
+        for i in range(bundle.n_draws)
+    ]
+    assert list(csv.reader(draws_out.read_text().splitlines())) == expected
 
 
 # -- forecast -------------------------------------------------------------------

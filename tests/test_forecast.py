@@ -524,14 +524,7 @@ def test_sample_posterior_synthetic_recovery():
     assert out.warnings == ()
 
 
-def test_failed_shape_refresh_keeps_that_row_only():
-    # row 1 moves both coordinates together by 2**40: its covariance is
-    # exactly rank one at a scale where the 1e-12 jitter vanishes, so its
-    # Cholesky factorisation fails
-    rng = np.random.default_rng(16)
-    recent = rng.standard_normal((3, 3, 2))
-    big = 2.0**40
-    recent[:, 1, :] = np.array([big, -big, 0.0])[:, None]
+def _assert_refresh_keeps_row_1_only(recent):
     prop_chol = np.tile(np.array([[2.0, 0.0], [0.5, 1.0]]), (3, 1, 1))
     log_step = np.array([-1.0, -2.0, -3.0])
     rm_clock = np.array([7.0, 8.0, 9.0])
@@ -543,6 +536,26 @@ def test_failed_shape_refresh_keeps_that_row_only():
         cov = np.cov(recent[:, i].T)
         assert np.allclose(prop_chol[i] @ prop_chol[i].T, cov, rtol=1e-9, atol=1e-9)
         assert (log_step[i], rm_clock[i]) == (math.log(2.38 / math.sqrt(2)), 0.0)
+
+
+def test_failed_shape_refresh_keeps_that_row_only():
+    # row 1 moves both coordinates together by 2**40: its covariance is
+    # exactly rank one at a scale where the 1e-12 jitter vanishes, so its
+    # Cholesky factorisation fails
+    rng = np.random.default_rng(16)
+    recent = rng.standard_normal((3, 3, 2))
+    big = 2.0**40
+    recent[:, 1, :] = np.array([big, -big, 0.0])[:, None]
+    _assert_refresh_keeps_row_1_only(recent)
+
+
+def test_non_finite_shape_refresh_keeps_that_row_only():
+    # row 1 sits at +inf in one coordinate: its covariance is nan, which
+    # np.linalg.cholesky factors into nan instead of raising
+    rng = np.random.default_rng(16)
+    recent = rng.standard_normal((3, 3, 2))
+    recent[:, 1, 1] = np.inf
+    _assert_refresh_keeps_row_1_only(recent)
 
 
 def _metropolis_reference(log_target, x0, rng, config):
@@ -605,6 +618,17 @@ def _kernel_non_finite_target():
     return target, np.zeros((3, 2))
 
 
+def _kernel_ignored_inf_target():
+    # the target reads only the first coordinate, and row 1 starts (and so
+    # stays) at +inf in the second: its trace must not install a nan shape
+    def target(w):
+        return -0.5 * w[:, 0] ** 2
+
+    x0 = np.zeros((3, 2))
+    x0[1, 1] = np.inf
+    return target, x0
+
+
 _CHOLESKY = np.linalg.cholesky
 
 
@@ -627,10 +651,15 @@ def _failing_cholesky(row: int, k: int):
         ("year", 100, None),  # no refresh fires
         ("year", 1000, 1),  # row 1 keeps its shape, step and clock
         ("non_finite", 1000, None),
+        ("ignored_inf", 1000, None),
     ],
 )
 def test_metropolis_matches_reference_kernel(monkeypatch, case, warmup, fail_row):
-    target, x0 = {"year": _kernel_year_target, "non_finite": _kernel_non_finite_target}[case]()
+    target, x0 = {
+        "year": _kernel_year_target,
+        "non_finite": _kernel_non_finite_target,
+        "ignored_inf": _kernel_ignored_inf_target,
+    }[case]()
     config = SamplerConfig(seed=0, chains=4, warmup=warmup, draws=250)
     runs = []
     for kernel in (_metropolis_reference, forecast._metropolis):
@@ -643,6 +672,9 @@ def test_metropolis_matches_reference_kernel(monkeypatch, case, warmup, fail_row
     assert np.all((rates > 0.0) & (rates < 1.0))
     if case == "non_finite":
         assert np.all(np.abs(draws[:, :, 0]) <= 1.5)
+    if case == "ignored_inf":
+        assert np.all(draws[1, :, 1] == np.inf)
+        assert np.all(np.isfinite(draws[:, :, 0]))
 
 
 def test_acceptance_warning_thresholds():

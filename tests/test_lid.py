@@ -334,7 +334,7 @@ def test_model_roundtrip_bit_exact():
 def test_model_file_roundtrip(tmp_path):
     model = lid.train(DISJOINT)
     path = tmp_path / "model.tsv"
-    lid.save_model(model, path)
+    path.write_text(lid.dumps_model(model), encoding="utf-8")
     assert lid.load_model(path) == model
 
 

@@ -108,9 +108,10 @@ def test_conservation_on_fixture(mini_ndjson):
     with open(mini_ndjson, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
     store = tally.ingest_tally(lines, lambda part: "xx")
-    assert store.total_messages() == 26
+    tallied = sum(f_ot + f_rt for _, _, f_ot, f_rt in store.rows())
+    assert tallied == 26
     assert store.error_total == 5
-    assert store.total_messages() + store.error_total == 31
+    assert tallied + store.error_total == 31
 
 
 @settings(deadline=None)
@@ -387,15 +388,15 @@ def test_rolling_mean_matches_reference(series, window):
 # -- store summaries ---------------------------------------------------------
 
 
-def test_span_languages_daily_counts():
+def test_languages_daily_counts():
     store = TallyStore()
     store.add(D(2019, 3, 1), "en", OT, 2)
     store.add(D(2019, 1, 1), "th", RT, 1)
-    assert store.span() == (D(2019, 1, 1), D(2019, 3, 1))
     assert store.languages() == ("en", "th")
     (cell,) = store.daily_counts("en")
-    assert (cell.f_ot, cell.f_rt) == (2, 0)
-    assert TallyStore().span() is None
+    assert (cell.date, cell.language, cell.f_ot, cell.f_rt) == (D(2019, 3, 1), "en", 2, 0)
+    assert store.rows() == [(D(2019, 1, 1), "th", 0, 1), (D(2019, 3, 1), "en", 2, 0)]
+    assert TallyStore().languages() == () and TallyStore().rows() == []
 
 
 @settings(deadline=None)
@@ -405,11 +406,10 @@ def test_rows_are_the_per_language_views_merged(store):
     for lang in store.languages():
         dates = [cell.date for cell in store.daily_counts(lang)]
         assert dates == sorted(set(dates))
-    rows = list(store.rows())
-    assert rows == sorted(views, key=lambda cell: (cell.date, cell.language))
+        assert store.cells(lang) == [(c.date, c.f_ot, c.f_rt) for c in store.daily_counts(lang)]
+    rows = store.rows()
+    assert rows == sorted((c.date, c.language, c.f_ot, c.f_rt) for c in views)
     assert len(store) == len(rows)
-    assert store.total_messages() == sum(cell.f_at for cell in rows)
     # nothing empty persists: no (0, 0) cell, no language without cells
-    assert all(cell.f_at > 0 for cell in rows)
-    assert store.languages() == tuple(sorted({cell.language for cell in rows}))
-    assert store.span() == ((rows[0].date, rows[-1].date) if rows else None)
+    assert all(f_ot + f_rt > 0 for _, _, f_ot, f_rt in rows)
+    assert store.languages() == tuple(sorted({lang for _, lang, _, _ in rows}))

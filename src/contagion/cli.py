@@ -110,18 +110,10 @@ def _make_labeler(args: argparse.Namespace) -> Callable[[ingest.CategorizedMessa
     """
     source = args.lid_source
     model = _builtin_model(args) if source in ("builtin", "both") else None
-    # raw wire label -> lid.wire_label's code for it when its confidence
-    # lets it through, so each distinct label is normalised once per run
-    codes: dict = {}
 
     def label(part: ingest.CategorizedMessage) -> str:
         if source != "builtin":
-            external = lid.UND
-            if lid.wire_confident(part.external_confidence):
-                raw = part.external_label
-                external = codes.get(raw)
-                if external is None:
-                    external = codes[raw] = lid.normalize_language(raw)
+            external = lid.wire_label(part)
             if source == "external" or external != lid.UND:
                 return external
         return lid.classify(model, sanitize(part.text)).language

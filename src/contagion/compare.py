@@ -27,7 +27,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from .metrics import daily_series
 from .tally import TallyStore
 
-DEFAULT_MAX_CHARS = 600
+# width of the mismatch-by-length histogram, in characters
+MAX_CHARS = 600
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,8 @@ class AgreementReport:
     n_pairs: int
 
 
-def confusion(
-    pairs: Iterable[Tuple[str, str]], normalization: str = "none"
-) -> ConfusionMatrix:
+def confusion(pairs: Iterable[Tuple[str, str]]) -> ConfusionMatrix:
     """Joint label counts; label set is the sorted union of both sides."""
-    if normalization not in ("none", "row"):
-        raise ValueError("unknown normalization %r" % normalization)
     joint: Dict[Tuple[str, str], int] = {}
     labels = set()
     for a, b in pairs:
@@ -107,8 +104,7 @@ def confusion(
     counts = tuple(
         tuple(float(joint.get((a, b), 0)) for b in ordered) for a in ordered
     )
-    matrix = ConfusionMatrix(ordered, counts, "none")
-    return matrix.row_normalized() if normalization == "row" else matrix
+    return ConfusionMatrix(ordered, counts)
 
 
 def divergence(c_a: float, c_b: float) -> float:
@@ -126,19 +122,15 @@ def margin_of_error(r_all: Optional[float], r_agree: Optional[float]) -> Optiona
     return abs(r_all - r_agree)
 
 
-def mismatch_by_length(
-    pairs: Iterable[LabeledPair], max_chars: int = DEFAULT_MAX_CHARS
-) -> LengthHistogram:
+def mismatch_by_length(pairs: Iterable[LabeledPair]) -> LengthHistogram:
     """Histogram of raw char counts over pairs the two sources disagree on."""
-    if max_chars < 0:
-        raise ValueError("max_chars must be nonnegative")
-    bins = [0] * (max_chars + 2)
+    bins = [0] * (MAX_CHARS + 2)
     for pair in pairs:
         if pair.label_a == pair.label_b:
             continue
-        idx = pair.chars if 0 <= pair.chars <= max_chars else max_chars + 1
+        idx = pair.chars if 0 <= pair.chars <= MAX_CHARS else MAX_CHARS + 1
         bins[idx] += 1
-    return LengthHistogram(max_chars, tuple(bins))
+    return LengthHistogram(MAX_CHARS, tuple(bins))
 
 
 def _mean_daily_ratio(store: TallyStore, lang: str) -> Optional[float]:
@@ -148,9 +140,7 @@ def _mean_daily_ratio(store: TallyStore, lang: str) -> Optional[float]:
     return math.fsum(values) / len(values)
 
 
-def agreement_report(
-    pairs: Sequence[LabeledPair], max_chars: int = DEFAULT_MAX_CHARS
-) -> AgreementReport:
+def agreement_report(pairs: Sequence[LabeledPair]) -> AgreementReport:
     """Full four-part agreement report over a dual-labeled stream.
 
     Divergence uses the confusion-matrix marginals and is reported for
@@ -194,7 +184,7 @@ def agreement_report(
         confusion=matrix,
         divergence_by_language=div,
         margin_by_language=margins,
-        mismatch_by_length=mismatch_by_length(pairs, max_chars),
+        mismatch_by_length=mismatch_by_length(pairs),
         n_pairs=len(pairs),
     )
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -591,7 +591,7 @@ def forecast_next(
     pseudo_last: GlmState,
     walk: WalkPosterior,
     config: SamplerConfig,
-    year: Optional[int] = None,
+    year: int,
 ) -> ForecastBundle:
     """Evolve the walk one step per posterior draw and simulate the GLM.
 
@@ -626,7 +626,7 @@ def forecast_next(
     state_draws = {name: z_next[:, k] for k, name in enumerate(PARAM_NAMES)}
     flat_x, flat_r = log10_n.ravel(), ratio.ravel()
     return ForecastBundle(
-        year=year if year is not None else -1,
+        year=year,
         state_draws=state_draws,
         log10_n=flat_x,
         ratio=flat_r,

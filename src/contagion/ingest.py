@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 KINDS = ("tweet", "reply", "retweet", "quote")
 
@@ -53,12 +53,6 @@ class ParseStats:
     @property
     def error_total(self) -> int:
         return sum(self.errors.values())
-
-    def merge(self, other: "ParseStats") -> "ParseStats":
-        out = ParseStats(parsed=self.parsed + other.parsed)
-        for k in _ERROR_KEYS:
-            out.errors[k] = self.errors[k] + other.errors[k]
-        return out
 
 
 # proleptic Gregorian ordinal of day number 0 (ts // 86400 == 0)
@@ -102,28 +96,34 @@ class CategorizedMessage(NamedTuple):
         return _utc_date(self.ts // 86400)
 
 
-def _record_from_obj(obj) -> Optional[MessageRecord]:
-    """The record a decoded line holds, or None if it is not a valid message."""
+def _record_from_obj(obj) -> Union[MessageRecord, str]:
+    """The record a decoded line holds, or the error key the line counts under.
+
+    The kind is checked first: a string kind outside KINDS is
+    unknown_kind and a quote without a string quoted_text is
+    missing_quoted_text, whatever else is wrong with the line; every
+    other fault is bad_record.
+    """
     if not isinstance(obj, dict):
-        return None
+        return "bad_record"
+    kind = obj.get("kind")
+    if kind not in KINDS:
+        return "unknown_kind" if isinstance(kind, str) else "bad_record"
+    quoted = obj.get("quoted_text")
+    if kind != "quote":
+        quoted = None  # ignored on non-quotes, like any unrecognized field
+    elif not isinstance(quoted, str):
+        return "missing_quoted_text"
     msg_id = obj.get("id")
     text = obj.get("text")
-    kind = obj.get("kind")
     ts = obj.get("ts")
     if type(ts) is not int:
         # an integral float is a timestamp; a bool or anything else is not
         ts = int(ts) if type(ts) is float and ts.is_integer() else None
     if ts is None or not _TS_MIN <= ts <= _TS_MAX:
-        return None
+        return "bad_record"
     if not isinstance(msg_id, str) or not msg_id or not isinstance(text, str):
-        return None
-    if kind not in KINDS:
-        return None
-    quoted = obj.get("quoted_text")
-    if kind != "quote":
-        quoted = None  # ignored on non-quotes, like any unrecognized field
-    elif not isinstance(quoted, str):
-        return None
+        return "bad_record"
     lang = obj.get("lang")
     conf = obj.get("lang_conf")
     if conf is not None:
@@ -133,16 +133,6 @@ def _record_from_obj(obj) -> Optional[MessageRecord]:
     return MessageRecord(
         msg_id, ts, kind, text, quoted, lang if isinstance(lang, str) else None, conf
     )
-
-
-def _rejection(obj) -> str:
-    """The error key of a decoded line that _record_from_obj rejects."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if isinstance(kind, str) and kind not in KINDS:
-        return "unknown_kind"
-    if kind == "quote" and not isinstance(obj.get("quoted_text"), str):
-        return "missing_quoted_text"
-    return "bad_record"
 
 
 def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterator[MessageRecord]:
@@ -170,8 +160,8 @@ def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterato
             errors["bad_json" if line.strip() else "empty_line"] += 1
             continue
         record = _record_from_obj(obj)
-        if record is None:
-            errors[_rejection(obj)] += 1
+        if type(record) is str:
+            errors[record] += 1
             continue
         stats.parsed += 1
         yield record

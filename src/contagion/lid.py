@@ -36,6 +36,8 @@ _MAGIC = "contagion-lid"
 _VERSION = 1
 
 
+# bounded: a hostile stream can carry any number of distinct labels
+@lru_cache(maxsize=1 << 12)
 def normalize_language(code: Optional[str]) -> str:
     """Map a wire language label onto a valid code, or "und"."""
     if not code:
@@ -224,23 +226,16 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     return LidPrediction(language, confidence, bucket_confidence(confidence))
 
 
-def wire_confident(confidence: Optional[float]) -> bool:
-    """Whether a wire confidence lets its label through: absent, or in [0.25, 1].
-
-    One below the und threshold or not a finite number in [0, 1] does not.
-    """
-    return confidence is None or UND_THRESHOLD <= confidence <= 1.0
-
-
 def wire_label(record) -> str:
     """The language label a record carried on the wire.
 
     An absent or invalid label maps to "und", as does a wire confidence
     below the und threshold or not a finite number in [0, 1].
     """
-    if not wire_confident(getattr(record, "external_confidence", None)):
+    confidence = record.external_confidence
+    if confidence is not None and not UND_THRESHOLD <= confidence <= 1.0:
         return UND
-    return normalize_language(getattr(record, "external_label", None))
+    return normalize_language(record.external_label)
 
 
 # -- serialization: versioned sorted text table, bit-exact round trips ------

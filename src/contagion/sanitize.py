@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 # a word character is an ASCII alphanumeric, an underscore, or any
@@ -35,10 +34,9 @@ EMOJI_RANGES = (
 REMOVAL_CLASSES = ("rt_prefix", "link", "hashtag", "handle", "html_entity", "emoji")
 
 
-@lru_cache(maxsize=8)
-def _emoji_pattern(ranges: tuple) -> re.Pattern:
-    body = "".join("\\U%08x-\\U%08x" % (lo, hi) for lo, hi in ranges)
-    return re.compile("[%s]" % body)
+_EMOJI = re.compile(
+    "[%s]" % "".join("\\U%08x-\\U%08x" % (lo, hi) for lo, hi in EMOJI_RANGES)
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ def char_count(text: str) -> int:
     return len(text)
 
 
-def _strip_once(text: str, emoji: re.Pattern, counts: dict) -> str:
+def _strip_once(text: str, counts: dict) -> str:
     m = _RT_PREFIX.match(text)
     if m:
         counts["rt_prefix"] += 1
@@ -67,12 +65,12 @@ def _strip_once(text: str, emoji: re.Pattern, counts: dict) -> str:
     counts["handle"] += n
     text, n = _HTML_ENTITY.subn("", text)
     counts["html_entity"] += n
-    text, n = emoji.subn("", text)
+    text, n = _EMOJI.subn("", text)
     counts["emoji"] += n
     return " ".join(text.split())
 
 
-def sanitize(raw: str, emoji_ranges: tuple = EMOJI_RANGES) -> SanitizedText:
+def sanitize(raw: str) -> SanitizedText:
     """Strip non-linguistic tokens from ``raw``.
 
     One pass applies, in order: leading RT prefix, URLs, hashtags, handles,
@@ -82,11 +80,10 @@ def sanitize(raw: str, emoji_ranges: tuple = EMOJI_RANGES) -> SanitizedText:
     idempotent and free of any removable substring. Counts accumulate
     across passes.
     """
-    emoji = _emoji_pattern(tuple(emoji_ranges))
     counts = dict.fromkeys(REMOVAL_CLASSES, 0)
     text = raw
     while True:
-        cleaned = _strip_once(text, emoji, counts)
+        cleaned = _strip_once(text, counts)
         if cleaned == text:
             break
         text = cleaned

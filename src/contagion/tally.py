@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Tuple
@@ -193,6 +194,20 @@ def save_csv(store: TallyStore, fh: TextIO) -> None:
     writer.writerows(store.rows())  # str(date) is its ISO form
 
 
+# bounded: a hostile file can hold any number of distinct count strings
+@lru_cache(maxsize=1 << 12)
+def _count(field: str) -> int:
+    """The count in a tally field written as save_csv writes it, ``str(n)``.
+
+    int() alone would also read ``1_000``, `` 1``, ``+4`` and non-ASCII
+    decimal digits; a field in any form but str(n) is an error.
+    """
+    n = int(field)
+    if str(n) != field:
+        raise ValueError("count %r is not in the form save_csv writes" % field)
+    return n
+
+
 def load_csv(fh: TextIO) -> TallyStore:
     """Inverse of save_csv.  Raises ValueError on a malformed file."""
     reader = csv.reader(fh)
@@ -217,7 +232,7 @@ def load_csv(fh: TextIO) -> TallyStore:
                 if date.isoformat() != day:  # save_csv writes YYYY-MM-DD only
                     raise ValueError("date %r is not in YYYY-MM-DD form" % day)
                 dates[day] = date
-            f_ot, f_rt = int(ot), int(rt)
+            f_ot, f_rt = _count(ot), _count(rt)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
         if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):

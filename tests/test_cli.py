@@ -337,17 +337,17 @@ def test_ingest_tallies_through_the_tally_namespace(tmp_path, monkeypatch):
 
 
 # one wire label repeated at confidences that pass, then fail, then pass,
-# and the reverse: remembering a label's code must not let it through when
-# its own confidence says und
-MEMO_LABELS = [" EN_us ", "PT-br", "", None, "x" * 10_000, "ES_ñ", "日本語", "ZH_tw"]
-MEMO_CONFS = [[0.9, 0.1, 7, None, "0.8", 0.25], [0.2, float("nan"), 0.6, 1.0, 0.24]]
+# and the reverse: the cached normalisation of a label must not let it
+# through when its own confidence says und
+WIRE_LABELS = [" EN_us ", "PT-br", "", None, "x" * 10_000, "ES_ñ", "日本語", "ZH_tw"]
+WIRE_CONFS = [[0.9, 0.1, 7, None, "0.8", 0.25], [0.2, float("nan"), 0.6, 1.0, 0.24]]
 
 
-def _memo_stream(path: pathlib.Path) -> None:
+def _wire_label_stream(path: pathlib.Path) -> None:
     texts = ["the house is big and the garden is green", "la casa es grande y verde"]
     lines, n = [], 0
-    for label in MEMO_LABELS:
-        for confs in MEMO_CONFS:
+    for label in WIRE_LABELS:
+        for confs in WIRE_CONFS:
             for conf in confs:
                 rec = {"id": "m%d" % n, "ts": 1546300800 + 86400 * (n % 3),
                        "kind": ("tweet", "quote", "retweet")[n % 3], "text": texts[n % 2]}
@@ -363,9 +363,9 @@ def _memo_stream(path: pathlib.Path) -> None:
 
 
 @pytest.mark.parametrize("source", ["external", "both"])
-def test_wire_label_memo_matches_wire_label_per_part(tmp_path, source):
+def test_labeler_matches_wire_label_per_part(tmp_path, source):
     stream = tmp_path / "labels.ndjson"
-    _memo_stream(stream)
+    _wire_label_stream(stream)
     out = run_read(tmp_path, "ingest", "--in", str(stream), "--lid", source)
 
     model = lid.default_model()
@@ -739,6 +739,20 @@ def test_metric_non_canonical_date_exits_1(tmp_path, capsys, day):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["1_000", " 1", "1 ", "+4", "\u0663", "01", "-0"])
+def test_metric_count_not_written_as_save_csv_writes_exits_1(tmp_path, capsys, count):
+    # save_csv writes str(n); int() would also read each of these
+    src = tmp_path / "tally.csv"
+    src.write_text("date,language,f_ot,f_rt\n2019-01-01,en,1,0\n2019-01-02,en,%s,2\n" % count,
+                   encoding="utf-8")
+    out = tmp_path / "ratio.csv"
+    assert run("metric", "--in", str(src), "--out", str(out),
+               "--metric", "ratio", "--resolution", "day") == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: count %r is not in the form save_csv writes\n" % count
     assert not out.exists()
 
 

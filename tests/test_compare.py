@@ -36,8 +36,9 @@ def test_single_offdiagonal():
 
 
 def test_row_normalization():
-    matrix = compare.confusion([("en", "en"), ("en", "en"), ("en", "es"), ("en", "es")],
-                               normalization="row")
+    pairs = [("en", "en"), ("en", "en"), ("en", "es"), ("en", "es")]
+    matrix = compare.confusion(pairs).row_normalized()
+    assert matrix.normalization == "row"
     i, j = matrix.labels.index("en"), matrix.labels.index("es")
     assert matrix.counts[i][i] == 0.5 and matrix.counts[i][j] == 0.5
     # "es" never appears as a source-A label: its row stays all zero
@@ -102,7 +103,7 @@ def test_no_mismatches_zero_histogram():
     pairs = [_pair("en", "en", chars=n) for n in (5, 50, 500)]
     hist = compare.mismatch_by_length(pairs)
     assert hist.total() == 0
-    assert len(hist.bins) == compare.DEFAULT_MAX_CHARS + 2
+    assert len(hist.bins) == compare.MAX_CHARS + 2
 
 
 def test_single_mismatch_bins_at_char_count():
@@ -112,10 +113,9 @@ def test_single_mismatch_bins_at_char_count():
 
 
 def test_overflow_bin():
-    hist = compare.mismatch_by_length([_pair("en", "es", chars=601)],
-                                      max_chars=600)
+    hist = compare.mismatch_by_length([_pair("en", "es", chars=601)])
     assert hist.bins[601] == 1  # one shared bin past the max
-    hist = compare.mismatch_by_length([_pair("en", "es", chars=9000)], max_chars=600)
+    hist = compare.mismatch_by_length([_pair("en", "es", chars=9000)])
     assert hist.bins[601] == 1
 
 

@@ -891,7 +891,7 @@ def test_forecast_rejects_unsupported_draws():
     z_t = _state(b=1e-6)
     walk = _degenerate_walk(sigma_value=1.0, size=500)
     cfg = SamplerConfig(seed=9, chains=1, warmup=0, draws=1000, points_per_draw=2)
-    bundle = forecast.forecast_next(z_t, walk, cfg)
+    bundle = forecast.forecast_next(z_t, walk, cfg, year=2020)
     assert bundle.n_draws + bundle.n_rejected == 500
     assert np.all(bundle.state_draws["tau"] > 0)
     assert np.all(bundle.state_draws["b"] > 0)

@@ -1,6 +1,7 @@
 """NDJSON parsing and OT/RT categorization tests."""
 
 import datetime as dt
+import json
 import math
 
 import pytest
@@ -66,6 +67,56 @@ def test_malformed_lines_counted_and_skipped():
     assert stats.errors["bad_record"] == 3
     assert stats.errors["missing_quoted_text"] == 1
     assert stats.parsed == 1
+
+
+_JSON_VALUES = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats() | hs.text(max_size=4),
+    lambda inner: (
+        hs.lists(inner, max_size=2) | hs.dictionaries(hs.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+_FIELD_VALUES = {
+    "id": hs.sampled_from(["m1", ""]) | _JSON_VALUES,
+    "ts": hs.sampled_from([0, 1.0, ingest._TS_MIN, ingest._TS_MAX, ingest._TS_MAX + 1])
+    | _JSON_VALUES,
+    "kind": hs.sampled_from(ingest.KINDS + ("boost", "", "Tweet")) | _JSON_VALUES,
+    "text": hs.sampled_from(["x", ""]) | _JSON_VALUES,
+    "quoted_text": hs.sampled_from(["q", ""]) | _JSON_VALUES,
+    "lang": hs.sampled_from(["en", "EN_us", "x"]) | _JSON_VALUES,
+    "lang_conf": hs.sampled_from([0.9, 0.1, 1]) | _JSON_VALUES,
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=hs.fixed_dictionaries({}, optional=_FIELD_VALUES) | _JSON_VALUES)
+def test_rejection_precedence(obj):
+    # the kind decides first: a string kind outside KINDS is unknown_kind and
+    # a quote without a string quoted_text is missing_quoted_text, whatever
+    # else is wrong; any other fault is bad_record
+    records, stats = _parse([json.dumps(obj)])
+    counted = [k for k, n in stats.errors.items() for _ in range(n)]
+    fields = obj if isinstance(obj, dict) else {}
+    kind, ts, msg_id = fields.get("kind"), fields.get("ts"), fields.get("id")
+    if not isinstance(obj, dict):
+        expected = ["bad_record"]
+    elif isinstance(kind, str) and kind not in ingest.KINDS:
+        expected = ["unknown_kind"]
+    elif kind == "quote" and not isinstance(fields.get("quoted_text"), str):
+        expected = ["missing_quoted_text"]
+    elif (
+        kind in ingest.KINDS
+        and (type(ts) is int or type(ts) is float and ts.is_integer())
+        and ingest._TS_MIN <= ts <= ingest._TS_MAX
+        and isinstance(msg_id, str)
+        and msg_id != ""
+        and isinstance(fields.get("text"), str)
+    ):
+        expected = []
+    else:
+        expected = ["bad_record"]
+    assert counted == expected
+    assert stats.parsed == len(records) == (not expected)
 
 
 def test_bad_encoding_bytes():
@@ -180,14 +231,6 @@ def test_determinism_same_stream():
     r2, s2 = _parse(lines)
     assert r1 == r2
     assert s1.errors == s2.errors and s1.parsed == s2.parsed
-
-
-def test_stats_merge():
-    _, s1 = _parse(["junk"])
-    _, s2 = _parse(["", '{"id":"1","ts":1,"kind":"tweet","text":"x"}'])
-    merged = s1.merge(s2)
-    assert merged.parsed == 1
-    assert merged.errors["bad_json"] == 1 and merged.errors["empty_line"] == 1
 
 
 def test_categorized_message_day():

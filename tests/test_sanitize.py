@@ -126,9 +126,20 @@ def test_idempotence_and_monotonicity_fuzz():
         assert all(v == 0 for v in twice.removed_counts.values())
 
 
-def test_custom_emoji_ranges():
-    # the table is a configurable constant, not a hard-coded set
-    out = sanitize("abc", emoji_ranges=((0x61, 0x61),))
-    assert out.text == "bc"
-    assert out.removed_counts["emoji"] == 1
-    assert EMOJI_RANGES[0][0] <= EMOJI_RANGES[0][1]
+def test_emoji_table_endpoints_removed_and_counted():
+    # each range's first and last code point is emoji; the code point just
+    # past either end is kept unless another range holds it
+    def in_table(cp):
+        return any(lo <= cp <= hi for lo, hi in EMOJI_RANGES)
+
+    for lo, hi in EMOJI_RANGES:
+        assert lo <= hi
+        for cp in (lo, hi):
+            out = sanitize("a%sb" % chr(cp))
+            assert out.text == "ab"
+            assert out.removed_counts == dict.fromkeys(REMOVAL_CLASSES, 0) | {"emoji": 1}
+        for cp in (lo - 1, hi + 1):
+            if not in_table(cp):
+                out = sanitize("a%sb" % chr(cp))
+                assert out.text == "a%sb" % chr(cp)
+                assert out.removed_counts["emoji"] == 0

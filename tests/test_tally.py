@@ -185,6 +185,8 @@ def test_load_csv_rejects_malformed_row():
         ("2019-13-01,en,1,0", "line 4: month must be in 1..12"),
         ("2019-01-02,en,x,0", "line 4: invalid literal for int() with base 10: 'x'"),
         ("2019-01-02,en,0,-2", "line 4: negative count"),
+        ("2019-01-02,en,+4,0", "line 4: count '+4' is not in the form save_csv writes"),
+        ("2019-01-02,en,-1,01", "line 4: count '01' is not in the form save_csv writes"),
         ("2019-01-02,en,%d,0" % (2**53 + 1), "line 4: count above 2**53"),
         ("2019-01-02,en,0,1%s" % ("0" * 320), "line 4: count above 2**53"),
         ("2019-01-02,en,-1,1%s" % ("0" * 320), "line 4: negative count"),

@@ -18,10 +18,11 @@ z_t = (mu, tau, alpha, beta0, beta1, b) ("pseudo-observations") and fit
 a driftless random walk z_t ~ MVN(z_{t-1}, Sigma) with
 Sigma = diag(sigma) . R . diag(sigma), sigma ~ LogNormal(0, 1) per
 component and R ~ LKJ(eta), density proportional to det(R)^(eta - 1).
-R is parameterized by its Cholesky factor so every proposal stays in
-the positive-definite cone.  The walk's likelihood sees the T
-increments y_t = z_t - z_{t-1} only through their 6 x 6 scatter matrix
-S = sum_t y_t y_t':
+R is parameterized by its Cholesky factor L, so every proposal stays in
+the positive-definite cone, and the target carries the Jacobian
+prod_i L_ii^(5 - i) of the map from L's free entries to R.  The walk's
+likelihood sees the T increments y_t = z_t - z_{t-1} only through their
+6 x 6 scatter matrix S = sum_t y_t y_t':
 
     log L = -T/2 (6 log 2 pi + log det Sigma) - tr(Sigma^-1 S) / 2
 
@@ -504,7 +505,10 @@ def _walk_log_target(
     Y N for Sigma^-1 = N N', and log det Sigma = 2 sum log sigma +
     log det R.  Priors: sigma_i ~ LogNormal(0, 1), which with the
     log-space Jacobian is -(log sigma_i)^2 / 2 - log(2 pi) / 2 in
-    log sigma, and R ~ LKJ(eta) through its density det(R)^(eta - 1).
+    log sigma, and R ~ LKJ(eta) through its density det(R)^(eta - 1)
+    times the Jacobian prod_i L_ii^(dim - 1 - i) (0-indexed rows) of the
+    map from L's free entries to R, so each off-diagonal of R is
+    Beta(eta - 1 + dim / 2, eta - 1 + dim / 2) on [-1, 1].
     """
     l_r, valid = _chol_from_free(w[:, dim:], dim)
     log_sigma = w[:, :dim]
@@ -512,10 +516,12 @@ def _walk_log_target(
     log_sigma = np.where(ok[:, None], log_sigma, 0.0)  # finite stand-in for -inf rows
     n_steps = increments.shape[0]
 
-    log_det_r = 2.0 * np.sum(np.log(np.diagonal(l_r, axis1=1, axis2=2)), axis=1)
+    log_diag = np.log(np.diagonal(l_r, axis1=1, axis2=2))
     # the prior's -(log sigma)^2 / 2 and the likelihood's -n log sigma, per entry
     lp = -0.5 * np.einsum("ki,ki->k", log_sigma, log_sigma + 2.0 * n_steps)
-    lp += (eta - 1.0 - 0.5 * n_steps) * log_det_r
+    # log det R = 2 sum_i log L_ii enters as (eta - 1 - n / 2) log det R, and
+    # the LKJ Jacobian adds (dim - 1 - i) log L_ii
+    lp += log_diag @ ((2.0 * eta - 2.0 - n_steps) + (dim - 1.0 - np.arange(dim)))
     lp -= 0.5 * (n_steps + 1) * dim * _LOG_2PI
     if n_steps:
         # Sigma = D L_R L_R' D with D = diag(sigma), so Sigma^-1 = N N' for

@@ -145,18 +145,20 @@ def sample_lkj_correlation(eta: float, size: int, seed: int = 0) -> np.ndarray:
     return 2.0 * rng.beta(eta, eta, size=size) - 1.0
 
 
-def lkj_marginal_cdf(r, eta: float = 2.0) -> np.ndarray:
-    """CDF of the 2x2 LKJ off-diagonal marginal.
+def lkj_marginal_cdf(r, eta: float = 2.0, dim: int = 2) -> np.ndarray:
+    """CDF of an off-diagonal marginal of a dim x dim LKJ(eta) correlation.
 
-    Closed form for eta = 2 (density 0.75 * (1 - r^2) on [-1, 1]):
-    F(r) = 0.75 * (r - r^3/3 + 2/3).
+    Each off-diagonal is Beta(a, a) on [-1, 1] with a = eta - 1 + dim / 2
+    (Lewandowski, Kurowicka & Joe 2009). Closed form for a = 2 (density
+    0.75 * (1 - r^2)): F(r) = 0.75 * (r - r^3/3 + 2/3).
     """
     r = np.asarray(r, dtype=float)
-    if eta == 2.0:
+    a = eta - 1.0 + dim / 2.0
+    if a == 2.0:
         return 0.75 * (r - r**3 / 3.0 + 2.0 / 3.0)
     from scipy.special import betainc
 
-    return betainc(eta, eta, (r + 1.0) / 2.0)
+    return betainc(a, a, (r + 1.0) / 2.0)
 
 
 @pytest.fixture(scope="session")

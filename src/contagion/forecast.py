@@ -9,9 +9,29 @@ restricted to r in (0, 1):
 
 with priors mu ~ Normal(5, 1), tau ~ Gamma(shape 10, rate 1),
 alpha ~ Normal(1, 1), beta0, beta1 ~ Normal(0, 1),
-b ~ InverseGamma(shape 6, scale 1).  Posteriors come from an adaptive
-random-walk Metropolis sampler (positive parameters proposed in log
-space with the Jacobian correction).
+b ~ InverseGamma(shape 6, scale 1).  Each year's posterior is computed
+exactly on a grid (Gelman et al., Bayesian Data Analysis, 3rd ed.,
+sec. 3.7), with deterministic integration over the few parameters as in
+Rue, Martino & Chopin, JRSS-B 2009.  It splits into two independent
+blocks:
+
+- volume (mu, tau, alpha), gridded in (mu, lambda = alpha sqrt(tau),
+  log tau).  The shape term sum log Phi(lambda (x - mu)) depends on
+  (mu, lambda) only, so it is one 2-D table per grid; the Gaussian
+  part (through the count, mean and centred sums of x), the priors and
+  the Jacobian tau^(-1/2) of alpha -> lambda are closed forms.
+- regression (beta0, beta1, b), gridded in (c = beta0 + beta1 mean(x),
+  beta1).  With A = sum |r - beta0 - beta1 x|, b given the betas is
+  InverseGamma(6 + n, 1 + A), so b integrates out in closed form: the
+  grid density is exp(-(beta0^2 + beta1^2) / 2) (1 + A)^-(6 + n), with
+  E[b | beta] = (1 + A) / (5 + n).
+
+A coarse pass finds each block's box from the prior and the data; a
+40-node pass then gives the means and sds.  Posterior mass near a box
+edge widens the box, and a year whose mass stays at the edge is an
+error.  A self-check compares the means on every other node with the
+means on all nodes.  Draws, for the tools that read them, pick a cell
+by weight, jitter uniformly inside it, and draw b from its conditional.
 
 Stage 2: collapse each year's posterior to its mean vector
 z_t = (mu, tau, alpha, beta0, beta1, b) ("pseudo-observations") and fit
@@ -27,24 +47,19 @@ likelihood sees the T increments y_t = z_t - z_{t-1} only through their
     log L = -T/2 (6 log 2 pi + log det Sigma) - tr(Sigma^-1 S) / 2
 
 (zero-mean MVN; Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3),
-so the work per chain does not grow with the number of years.
+so the work per chain does not grow with the number of years.  The walk
+is sampled by adaptive random-walk Metropolis, its chains in lockstep as
+the rows of one array (positive parameters proposed in log space with
+the Jacobian correction).
 
 Stage 3: evolve the walk one step, draw a synthetic volume sample from
 the stepped skew-normal, push it through the stepped GLM, and report
 predictive quantiles.
 
-Chains run in lockstep: one sampler kernel steps a batch of chains as
-the rows of an array, every (year, chain) pair of stage 1 in one batch
-and every walk chain in another.  Each target is written out by hand
-as closed forms in the sampled (log-space) coordinates, term by term
-against the model statement above.  Stage 1 reads each year's points
-through sufficient statistics built once per call (n, mean, residual
-sum and centred sum of squares of x), so a step makes only two passes
-over the points: log Phi of the skew-normal's shape term and the
-Laplace residuals |r - beta0 - beta1 x|.  The only scipy in the module
-is scipy.special's ndtr and log_ndtr, imported inside log_norm_cdf, so
-importing this module does not load scipy; the CLI imports this module
-(and with it numpy) only in the ``forecast`` command.
+The only scipy in the module is scipy.special's ndtr and log_ndtr,
+imported inside log_norm_cdf, so importing this module does not load
+scipy; the CLI imports this module (and with it numpy) only in the
+``forecast`` command.
 """
 
 from __future__ import annotations
@@ -70,6 +85,24 @@ _STAGE_FORECAST = 999979
 
 # acceptance rate the warmup step size chases
 _TARGET_ACCEPT = 0.3
+
+# stage-1 grids: nodes per axis of the box search and of the final pass;
+# the search keeps the cells within _KEEP_NATS of the maximum, and mass
+# within _EDGE_NATS of it must not reach an edge of the final box
+_COARSE_NODES, _FINE_NODES = 24, 40
+_KEEP_NATS, _EDGE_NATS = 25.0, 15.0
+_MAX_PASSES = 12
+# the Laplace likelihood has a kink wherever a residual is 0, and the
+# fewer the points the sharper the peak those kinks make: a year with
+# n < _KINK_POINTS points gets nodes * sqrt(_KINK_POINTS / n) regression
+# nodes per axis (the work of a _KINK_POINTS-point year), up to
+# _MAX_REGRESSION_NODES
+_KINK_POINTS, _MAX_REGRESSION_NODES = 150, 256
+# worst |mean on every other node - mean on all nodes| a year may show,
+# in posterior sds
+SELF_CHECK_BOUND = 0.25
+# elements per temporary of the per-point tables and the b draws
+_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -174,28 +207,8 @@ def observations_from_rows(
     )
 
 
-def _padded_columns(
-    observations: Sequence[YearObservations],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, r, has_point) arrays of shape (years, most points in a year).
-
-    Shorter years are padded with zeros that has_point marks as absent.
-    """
-    width = max((len(obs.points) for obs in observations), default=0)
-    x = np.zeros((len(observations), width))
-    r = np.zeros_like(x)
-    has_point = np.zeros(x.shape, dtype=bool)
-    for i, obs in enumerate(observations):
-        n = len(obs.points)
-        x[i, :n], r[i, :n] = obs.columns
-        has_point[i, :n] = True
-    return x, r, has_point
-
-
-def _volume_stats(
-    x: np.ndarray, has_point: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's (n, mean, residual sum, centred sum of squares) over its points.
+def _volume_stats(x: np.ndarray) -> Tuple[int, float, float, float]:
+    """(n, mean, residual sum, centred sum of squares) of the points x.
 
     The residual sum sum(x - mean) is 0 but for the mean's rounding;
     keeping it makes
@@ -203,79 +216,311 @@ def _volume_stats(
     exact for any computed mean, so no digits are lost when mu sits
     near a mean far from 0.
     """
-    n = np.count_nonzero(has_point, axis=1)
-    mean = np.sum(x, axis=1, where=has_point) / np.maximum(n, 1)
-    dev = x - mean[:, None]
-    resid = np.sum(dev, axis=1, where=has_point)
-    sxx = np.sum(dev * dev, axis=1, where=has_point)
-    return n, mean, resid, sxx
-
-
-# the priors' normalising constants: four unit normals, Gamma(10, rate 1)
-# and InverseGamma(6, scale 1)
-_LOG_PRIOR_CONST = -2.0 * _LOG_2PI - math.lgamma(10.0) - math.lgamma(6.0)
-
-
-def _year_log_target(
-    w: np.ndarray,
-    x: np.ndarray,
-    r: np.ndarray,
-    has_point: np.ndarray,
-    stats: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Stage-1 log posterior of each row of w = (mu, log tau, alpha, beta0, beta1, log b).
-
-    Row k sees the points x[k], r[k] where has_point[k]; stats are
-    _volume_stats(x, has_point).  With the + log tau + log b Jacobian
-    the priors are closed forms in (log tau, log b):
-
-        -((mu - 5)^2 + (alpha - 1)^2 + beta0^2 + beta1^2) / 2
-        + 10 log tau - tau - 6 log b - 1/b + const.
-
-    The skew-normal's Gaussian part is
-    n (log 2 + log tau / 2 - log 2 pi / 2) - tau sum((x - mu)^2) / 2,
-    from the stats, and the Laplace part -n log 2b - sum|r - beta0 - beta1 x| / b
-    (Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3), so only
-    log Phi(alpha sqrt(tau) (x - mu)) and |r - beta0 - beta1 x| run per
-    point.  A row with |log tau| or |log b| above 500 has density 0.
-    Padded points are left out of the sum by its mask, never multiplied
-    by 0, so a non-finite term there cannot turn the row's sum into nan.
-    """
-    n, mean, resid, sxx = stats
-    inside = (np.abs(w[:, 1]) <= 500) & (np.abs(w[:, 5]) <= 500)
-    w = np.where(inside[:, None], w, 0.0)  # finite stand-in for rows set to -inf below
-    mu, log_tau, alpha, beta0, beta1, log_b = w.T
-    tau, inv_b = np.exp(log_tau), np.exp(-log_b)
-    gap = mean - mu
-    quad = (mu - 5.0) ** 2 + (alpha - 1.0) ** 2 + beta0 * beta0 + beta1 * beta1
-    quad += tau * (sxx + gap * (2.0 * resid + n * gap))
-    closed = (10.0 + 0.5 * n) * log_tau - (6.0 + n) * log_b - tau - inv_b
-    closed -= 0.5 * (quad + n * _LOG_2PI)
-    shape = x - mu[:, None]
-    shape *= (alpha * np.sqrt(tau))[:, None]
-    per_point = log_norm_cdf(shape)
-    fit = beta1[:, None] * x
-    fit += beta0[:, None]
-    np.subtract(r, fit, out=fit)
-    np.abs(fit, out=fit)
-    fit *= inv_b[:, None]
-    per_point -= fit
-    closed += np.sum(per_point, axis=1, where=has_point)
-    return np.where(inside, closed + _LOG_PRIOR_CONST, -np.inf)
+    n = x.size
+    mean = float(np.sum(x)) / max(n, 1)
+    dev = x - mean
+    return n, mean, float(np.sum(dev)), float(np.dot(dev, dev))
 
 
 # ---------------------------------------------------------------------------
-# sampler core
+# stage 1: each year's posterior on a grid
+
+
+def _volume_log_density(
+    x: np.ndarray,
+    stats: Tuple[int, float, float, float],
+    mu: np.ndarray,
+    lam: np.ndarray,
+    log_tau: np.ndarray,
+) -> np.ndarray:
+    """Volume-block log density on the grid mu x lam x log_tau, up to a constant.
+
+    In (mu, lambda = alpha sqrt(tau), log tau) the priors, the
+    skew-normal's Gaussian part and the Jacobians (+ log tau for the log
+    scale, - log tau / 2 for alpha -> lambda) are
+
+        -(mu - 5)^2 / 2 - (lambda tau^(-1/2) - 1)^2 / 2
+        + (19 + n) / 2 log tau - tau (1 + sum((x - mu)^2) / 2),
+
+    and the shape term sum log Phi(lambda (x - mu)) is a 2-D table over
+    (mu, lambda), built a block of mu rows at a time.
+    """
+    n, mean, resid, sxx = stats
+    table = np.empty((mu.size, lam.size))
+    rows = max(1, _BLOCK // (lam.size * max(n, 1)))
+    for start in range(0, mu.size, rows):
+        shift = x - mu[start : start + rows, None]
+        table[start : start + rows] = np.sum(
+            log_norm_cdf(lam[:, None] * shift[:, None, :]), axis=2
+        )
+    table -= 0.5 * ((mu - 5.0) ** 2)[:, None]
+    gap = mean - mu
+    half_sq = 1.0 + 0.5 * (sxx + gap * (2.0 * resid + n * gap))
+    with np.errstate(over="ignore"):  # a box reaching far in log tau: the density is 0 there
+        by_mu_tau = 0.5 * (19.0 + n) * log_tau - half_sq[:, None] * np.exp(log_tau)
+        by_lam_tau = lam[:, None] * np.exp(-0.5 * log_tau) - 1.0
+        by_lam_tau *= by_lam_tau
+    return table[:, :, None] + by_mu_tau[:, None, :] - 0.5 * by_lam_tau[None]
+
+
+def _regression_abs_sums(
+    x: np.ndarray, r: np.ndarray, mean: float, c: np.ndarray, beta1: np.ndarray
+) -> np.ndarray:
+    """A = sum |r - c - beta1 (x - mean)| for each pair (c[i], beta1[i]), in blocks."""
+    out = np.empty(c.shape)
+    dev = x - mean
+    rows = max(1, _BLOCK // max(x.size, 1))
+    for start in range(0, c.size, rows):
+        fit = beta1[start : start + rows, None] * dev
+        fit += c[start : start + rows, None]
+        out[start : start + rows] = np.sum(np.abs(r - fit), axis=1)
+    return out
+
+
+def _regression_log_density(
+    x: np.ndarray, r: np.ndarray, mean: float, c: np.ndarray, beta1: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Regression-block log density at the pairs (c, beta1) of two arrays of one shape,
+    up to a constant, and A there.
+
+    With b integrated out: -(beta0^2 + beta1^2) / 2 - (6 + n) log(1 + A),
+    beta0 = c - beta1 mean.
+    """
+    abs_sums = _regression_abs_sums(x, r, mean, c.ravel(), beta1.ravel()).reshape(c.shape)
+    beta0 = c - mean * beta1
+    log_p = -0.5 * (beta0 * beta0 + beta1 * beta1)
+    log_p -= (6.0 + x.size) * np.log1p(abs_sums)
+    return log_p, abs_sums
+
+
+def _grid_nodes(box: np.ndarray, nodes: int) -> Tuple[np.ndarray, ...]:
+    """Per axis of the (k, 2) box, the centres of `nodes` equal cells."""
+    return tuple(lo + (np.arange(nodes) + 0.5) * ((hi - lo) / nodes) for lo, hi in box)
+
+
+def _refit_box(
+    box: np.ndarray, log_p: np.ndarray, shrink: bool, limits: np.ndarray
+) -> Tuple[np.ndarray, bool, bool]:
+    """The next box after one pass, and whether it widened and whether it zoomed.
+
+    An axis whose cells within _EDGE_NATS of the maximum reach the box
+    edge widens on that side by the box's width, or by half of it when
+    not shrinking, up to that axis's limits.  Otherwise, when shrinking,
+    each axis keeps its cells within _KEEP_NATS of the maximum plus one
+    cell either side, and the pass zoomed if some axis kept under a
+    quarter of its cells.  The mass of a cell is the largest log density
+    over the other axes.
+    """
+    top = float(log_p.max())
+    if not math.isfinite(top):
+        raise ValueError("no finite density on the grid")
+    new, widened, zoomed = box.copy(), False, False
+    grow = 1.0 if shrink else 0.5
+    axes = range(log_p.ndim)
+    profiles = [log_p.max(axis=tuple(a for a in axes if a != k)) for k in axes]
+    for k, profile in enumerate(profiles):
+        near = np.flatnonzero(profile >= top - _EDGE_NATS)
+        width = box[k, 1] - box[k, 0]
+        # an edge at its limit cannot widen, and still counts as not settled
+        if near[0] == 0:
+            new[k, 0] = max(box[k, 0] - grow * width, limits[k, 0])
+            widened = True
+        if near[-1] == profile.size - 1:
+            new[k, 1] = min(box[k, 1] + grow * width, limits[k, 1])
+            widened = True
+    if widened or not shrink:
+        return new, widened, False
+    for k, profile in enumerate(profiles):
+        keep = np.flatnonzero(profile >= top - _KEEP_NATS)
+        cell = (box[k, 1] - box[k, 0]) / profile.size
+        first, stop = max(keep[0] - 1, 0), min(keep[-1] + 2, profile.size)
+        new[k] = box[k, 0] + first * cell, box[k, 0] + stop * cell
+        zoomed |= 4 * (stop - first) < profile.size
+    return new, False, zoomed
+
+
+def _grid_posterior(
+    log_density: Callable[..., np.ndarray],
+    box: Sequence[Tuple[float, float]],
+    limits: Sequence[Tuple[float, float]],
+    nodes: int,
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Per-axis nodes and normalised cell weights of a posterior on a grid.
+
+    log_density maps per-axis node arrays to the log density on their
+    product grid.  Coarse passes of _COARSE_NODES per axis widen or zoom
+    the box until it settles on the mass within _KEEP_NATS of the
+    maximum; then passes of `nodes` per axis widen it until the mass
+    within _EDGE_NATS of the maximum clears every edge.  _MAX_PASSES
+    bounds each phase.
+    """
+    box, limits = np.array(box, dtype=float), np.array(limits, dtype=float)
+    for shrink, per_axis in ((True, _COARSE_NODES), (False, nodes)):
+        for _ in range(_MAX_PASSES):
+            axes = _grid_nodes(box, per_axis)
+            log_p = log_density(*axes)
+            box, widened, zoomed = _refit_box(box, log_p, shrink, limits)
+            if not (widened or zoomed):
+                break
+        else:
+            raise ValueError("the grid box did not settle within %d passes" % _MAX_PASSES)
+    weights = np.exp(log_p - log_p.max())
+    return axes, weights / weights.sum()
+
+
+def _volume_posterior(
+    x: np.ndarray, nodes: int
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """The volume block on a grid in (mu, lambda, log tau).
+
+    The starting box comes from the symmetric model (alpha = 0), where
+    tau integrates out: mu has log density
+    -(mu - 5)^2 / 2 - a log(1 + sum((x - mu)^2) / 2) with
+    a = (20 + n) / 2, searched on its own, and log tau given mu is a log-gamma
+    whose mode is log(a / (1 + sum((x - mu)^2) / 2)).  The skew can
+    lower log tau by up to log(1 - 2 / pi) ~ -1 and move mu by up to
+    0.8 of a scale; alpha's box is its prior's 1 +- 8.5.
+    """
+    stats = _volume_stats(x)
+    n, mean, resid, sxx = stats
+    a = 0.5 * (20.0 + n)
+
+    def half_sq(mu):
+        gap = mean - mu
+        return 1.0 + 0.5 * (sxx + gap * (2.0 * resid + n * gap))
+
+    lo, hi = -3.0, 13.0  # the prior's mu +- 8
+    if n:
+        lo, hi = min(lo, float(np.min(x)) - 8.0), max(hi, float(np.max(x)) + 8.0)
+    (mu_nodes,), _ = _grid_posterior(
+        lambda mu: -0.5 * (mu - 5.0) ** 2 - a * np.log(half_sq(mu)),
+        [(lo, hi)], [(-np.inf, np.inf)], _COARSE_NODES,
+    )
+    cell = mu_nodes[1] - mu_nodes[0]
+    mu_lo, mu_hi = mu_nodes[0] - cell, mu_nodes[-1] + cell
+    modes = np.log(a / half_sq(np.linspace(mu_lo, mu_hi, 25)))
+    spread = _KEEP_NATS / a  # a (e^t - 1 - t) = 25 within these t
+    log_tau_lo = float(np.min(modes)) - math.sqrt(2.0 * spread) - spread - 1.1
+    log_tau_hi = float(np.max(modes)) + math.sqrt(2.0 * spread)
+    skew_shift = 0.8 * math.exp(-0.5 * log_tau_lo)
+    root_tau = math.exp(0.5 * log_tau_hi)
+    box = [
+        (mu_lo - skew_shift, mu_hi + skew_shift),
+        (-7.5 * root_tau, 9.5 * root_tau),
+        (log_tau_lo, log_tau_hi),
+    ]
+    limits = [(-np.inf, np.inf), (-np.inf, np.inf), (-600.0, 600.0)]
+    return _grid_posterior(
+        lambda mu, lam, log_tau: _volume_log_density(x, stats, mu, lam, log_tau),
+        box, limits, nodes,
+    )
+
+
+def _regression_posterior(
+    x: np.ndarray, r: np.ndarray, mean: float, nodes: int
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The regression block on a grid in (c = beta0 + beta1 mean, beta1), and A there.
+
+    The starting box is 8 sds either side of a Gaussian stand-in: the
+    prior with the Laplace likelihood replaced by a normal one of the
+    same variance 2 b^2, b set from the least-squares residuals.  In
+    (c, beta1) the prior's precision is [[1, -mean], [-mean, 1 + mean^2]].
+    """
+    n = x.size
+    dev = x - mean
+    sxx, sxr = float(np.dot(dev, dev)), float(np.dot(dev, r))
+    slope = sxr / sxx if sxx > 0 else 0.0
+    level = float(np.mean(r)) if n else 0.0
+    b_hat = (1.0 + float(np.sum(np.abs(r - level - slope * dev)))) / (5.0 + n)
+    weight = 0.5 / (b_hat * b_hat)
+    p_cc, p_cb, p_bb = 1.0 + n * weight, -mean, 1.0 + mean * mean + sxx * weight
+    det = p_cc * p_bb - p_cb * p_cb
+    rhs_c, rhs_b = weight * float(np.sum(r)), weight * sxr
+    centre = ((p_bb * rhs_c - p_cb * rhs_b) / det, (p_cc * rhs_b - p_cb * rhs_c) / det)
+    sds = (math.sqrt(p_bb / det), math.sqrt(p_cc / det))
+    box = [(m - 8.0 * sd, m + 8.0 * sd) for m, sd in zip(centre, sds)]
+    last_abs_sums = []
+
+    def log_density(c, beta1):
+        log_p, abs_sums = _regression_log_density(x, r, mean, *np.meshgrid(c, beta1, indexing="ij"))
+        last_abs_sums[:] = [abs_sums]
+        return log_p
+
+    nodes = max(nodes, min(_MAX_REGRESSION_NODES,
+                           math.ceil(nodes * math.sqrt(_KINK_POINTS / max(n, 1)))))
+    axes, weights = _grid_posterior(log_density, box, [(-np.inf, np.inf)] * 2, nodes)
+    return axes, weights, last_abs_sums[0]
+
+
+def _moments(weights: np.ndarray, values: np.ndarray) -> Tuple[float, float]:
+    """(mean, sd) of values under weights of the same shape."""
+    total = float(weights.sum())
+    mean = float(np.sum(weights * values)) / total
+    dev = values - mean
+    return mean, math.sqrt(float(np.sum(weights * dev * dev)) / total)
+
+
+def _block_moments(
+    n: int,
+    mean: float,
+    volume: Tuple[Tuple[np.ndarray, ...], np.ndarray],
+    regression: Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray],
+    step: int,
+) -> Dict[str, Tuple[float, float]]:
+    """Each parameter's (mean, sd) from every step-th node of both grids."""
+    (mu, lam, log_tau), weights = volume
+    mu, lam, log_tau = mu[::step], lam[::step], log_tau[::step]
+    weights = weights[::step, ::step, ::step]
+    by_lam_tau = weights.sum(axis=0)
+    out = {
+        "mu": _moments(weights.sum(axis=(1, 2)), mu),
+        "tau": _moments(by_lam_tau.sum(axis=0), np.exp(log_tau)),
+        "alpha": _moments(by_lam_tau, lam[:, None] * np.exp(-0.5 * log_tau)),
+    }
+    (c, beta1), weights, abs_sums = regression
+    c, beta1 = c[::step], beta1[::step]
+    weights, abs_sums = weights[::step, ::step], abs_sums[::step, ::step]
+    out["beta0"] = _moments(weights, c[:, None] - mean * beta1)
+    out["beta1"] = _moments(weights.sum(axis=0), beta1)
+    # b given the betas is InverseGamma(6 + n, 1 + A): mean (1 + A) / (5 + n)
+    # and variance mean^2 / (4 + n); its sd adds the spread of those means
+    cond_mean = (1.0 + abs_sums) / (5.0 + n)
+    b_mean, spread = _moments(weights, cond_mean)
+    within = float(np.sum(weights * cond_mean * cond_mean)) / float(weights.sum()) / (4.0 + n)
+    out["b"] = (b_mean, math.sqrt(spread * spread + within))
+    return out
+
+
+def _cell_draws(
+    rng: np.random.Generator,
+    axes: Tuple[np.ndarray, ...],
+    weights: np.ndarray,
+    size: int,
+) -> Tuple[np.ndarray, ...]:
+    """size points: a cell drawn by weight, then a uniform point inside it."""
+    cdf = np.cumsum(weights, axis=None)
+    cell = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    np.minimum(cell, cdf.size - 1, out=cell)
+    jitter = rng.random((len(axes), size)) - 0.5
+    return tuple(
+        nodes[i] + (nodes[1] - nodes[0]) * u
+        for nodes, i, u in zip(axes, np.unravel_index(cell, weights.shape), jitter)
+    )
 
 
 @dataclass(frozen=True)
 class PosteriorSamples:
-    """Post-warmup draws in natural parameter space, chains concatenated."""
+    """One year's exact posterior means and sds, and draws from its grid.
+
+    self_check is the largest |mean on every other node - mean on all
+    nodes| over the six parameters, in posterior sds.
+    """
 
     year: int
+    mean: Dict[str, float]
+    sd: Dict[str, float]
     draws: Dict[str, np.ndarray]
-    acceptance: Tuple[float, ...]
-    warnings: Tuple[str, ...]
+    self_check: float
 
     def __post_init__(self) -> None:
         sizes = {v.shape for v in self.draws.values()}
@@ -291,13 +536,77 @@ class PosteriorSamples:
         return int(next(iter(self.draws.values())).shape[0])
 
     def mean_state(self) -> GlmState:
-        return GlmState(*(float(np.mean(self.draws[k])) for k in PARAM_NAMES))
+        return GlmState(*(self.mean[k] for k in PARAM_NAMES))
 
 
 def _stage_rng(seed: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stage,))
     )
+
+
+def _fit_year(
+    obs: YearObservations, rng: np.random.Generator, size: int, nodes: int = _FINE_NODES
+) -> PosteriorSamples:
+    """One year's posterior on grids of `nodes` per axis, with size draws from rng."""
+    x, r = obs.columns
+    mean = _volume_stats(x)[1]
+    try:
+        volume = _volume_posterior(x, nodes)
+        regression = _regression_posterior(x, r, mean, nodes)
+    except ValueError as exc:
+        raise ValueError("year %d: %s" % (obs.year, exc)) from None
+    moments = _block_moments(x.size, mean, volume, regression, 1)
+    halves = _block_moments(x.size, mean, volume, regression, 2)
+    # all of a parameter's mass in one cell leaves nothing to check against
+    self_check = max(
+        abs(halves[k][0] - m) / sd if sd > 0 else math.inf for k, (m, sd) in moments.items()
+    )
+    if not self_check <= SELF_CHECK_BOUND:
+        raise ValueError(
+            "year %d: grid self-check: means on every other node differ by %.3g sd "
+            "(bound %g)" % (obs.year, self_check, SELF_CHECK_BOUND)
+        )
+
+    mu, lam, log_tau = _cell_draws(rng, *volume, size)
+    c, beta1 = _cell_draws(rng, *regression[:2], size)
+    abs_sums = _regression_abs_sums(x, r, mean, c, beta1)
+    b = (1.0 + abs_sums) / rng.gamma(6.0 + x.size, size=size)
+    draws = {
+        "mu": mu,
+        "tau": np.exp(log_tau),
+        "alpha": lam * np.exp(-0.5 * log_tau),
+        "beta0": c - mean * beta1,
+        "beta1": beta1,
+        "b": b,
+    }
+    return PosteriorSamples(
+        year=obs.year,
+        mean={k: m for k, (m, _) in moments.items()},
+        sd={k: sd for k, (_, sd) in moments.items()},
+        draws=draws,
+        self_check=self_check,
+    )
+
+
+def sample_posterior(
+    observations: Sequence[YearObservations], config: SamplerConfig
+) -> Tuple[PosteriorSamples, ...]:
+    """Every year's exact posterior; one PosteriorSamples per year, in order.
+
+    The means and sds come from the grids and do not depend on the
+    seed; the chains x draws draws of each year do, and all years draw
+    from one stream in turn.  A year whose posterior mass stays at a
+    grid edge, or whose self-check exceeds SELF_CHECK_BOUND, raises
+    ValueError naming the year.
+    """
+    rng = _stage_rng(config.seed, _STAGE_YEARS)
+    size = config.chains * config.draws
+    return tuple(_fit_year(obs, rng, size) for obs in observations)
+
+
+# ---------------------------------------------------------------------------
+# sampler core
 
 
 def _refresh_shapes(
@@ -343,10 +652,10 @@ def _metropolis(
     Robbins-Monro step size chasing the target acceptance rate, and (at
     1/2 and 3/4 of warmup) a proposal shape taken from the empirical
     covariance of the recent trace (Haario et al., Bernoulli 2001), which
-    handles the strong beta0/beta1-style ridges a diagonal proposal
-    cannot.  Everything freezes when sampling starts, so each post-warmup
-    chain is a valid time-homogeneous Metropolis kernel.  Every step
-    draws one (K, d) normal block and K uniforms from rng.
+    handles the strong ridges a diagonal proposal cannot.  Everything
+    freezes when sampling starts, so each post-warmup chain is a valid
+    time-homogeneous Metropolis kernel.  Every step draws one (K, d)
+    normal block and K uniforms from rng.
 
     Returns the (K, draws, d) post-warmup states and each row's
     acceptance rate.  A proposal whose target is nan or +inf is rejected.
@@ -396,45 +705,6 @@ def _acceptance_warnings(rates: Sequence[float], stage: str) -> Tuple[str, ...]:
     )
 
 
-def sample_posterior(
-    observations: Sequence[YearObservations], config: SamplerConfig
-) -> Tuple[PosteriorSamples, ...]:
-    """Fit every year's model by MCMC; one PosteriorSamples per year, in order.
-
-    The chains walk (mu, log tau, alpha, beta0, beta1, log b); the log
-    transforms keep proposals inside the support and add the usual
-    + log tau + log b Jacobian term to the target.  All years x chains
-    run as one lockstep batch on one random stream, so a year's draws
-    depend on which other years share the call.
-    """
-    chains, n_years = config.chains, len(observations)
-    x, r, has_point = (
-        np.repeat(a, chains, axis=0) for a in _padded_columns(observations)
-    )
-    rng = _stage_rng(config.seed, _STAGE_YEARS)
-    base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
-    starts = base + 0.1 * rng.standard_normal((n_years * chains, 6))
-    stats = _volume_stats(x, has_point)
-    samples, rates = _metropolis(
-        lambda w: _year_log_target(w, x, r, has_point, stats), starts, rng, config
-    )
-    samples = samples.reshape(n_years, chains * config.draws, 6)
-    rates = rates.reshape(n_years, chains)
-
-    fits = []
-    for obs, year_samples, year_rates in zip(observations, samples, rates):
-        draws = dict(zip(PARAM_NAMES, year_samples.T))
-        draws["tau"], draws["b"] = np.exp(draws["tau"]), np.exp(draws["b"])
-        acceptance = tuple(float(v) for v in year_rates)
-        fits.append(
-            PosteriorSamples(
-                year=obs.year,
-                draws=draws,
-                acceptance=acceptance,
-                warnings=_acceptance_warnings(acceptance, "year %d" % obs.year),
-            )
-        )
-    return tuple(fits)
 
 
 def pseudo_observations(
@@ -688,14 +958,10 @@ def forecast_pipeline(
             {
                 "year": obs.year,
                 "n_points": len(obs.points),
-                "posterior_mean": {
-                    k: float(np.mean(fit.draws[k])) for k in PARAM_NAMES
-                },
-                "posterior_sd": {
-                    k: float(np.std(fit.draws[k])) for k in PARAM_NAMES
-                },
-                "acceptance": list(fit.acceptance),
-                "warnings": list(fit.warnings),
+                "posterior_mean": dict(fit.mean),
+                "posterior_sd": dict(fit.sd),
+                "acceptance": [],  # no stage-1 sampler; kept for tools reading every stage's rates
+                "self_check": fit.self_check,
             }
         )
 

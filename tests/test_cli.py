@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -636,6 +637,51 @@ print([m for m in loaded() if m.startswith("contagion.")])
     assert out == "['contagion.forecast']\n"
     assert run(*argv, "--out", str(here)) == 0
     assert fresh.read_bytes() == here.read_bytes()
+
+
+def _far_volume_input(tmp_path):
+    """The fixture's 2009 and 2011 around a 2010 of 30 points at log10_n near 400."""
+    with open(GLM_INPUT, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    lines = [line for line in lines if line.split(",")[0] in ("2009", "2011")]
+    lines += ["2010,en,%r,%r" % (400.0 - 0.01 * i, 0.2 + 0.01 * i) for i in range(30)]
+    path = tmp_path / "far.csv"
+    path.write_text("\n".join([header] + lines) + "\n")
+    return path
+
+
+def test_forecast_year_at_the_log10_n_bound_gets_its_exact_posterior(tmp_path, capsys):
+    # log10_n near 400 is a value the reader accepts.  The stage-1 sampler
+    # exited 0 on this input with 2010's chains far from its posterior (mu
+    # 2.56, beta0 2.41 and alpha 3.64, each over 2.5 posterior sds off); the
+    # grid gives the exact posterior: mu stays near its prior, because a
+    # scale of hundreds explains points 395 above it, and b is the ratios'
+    # spread
+    out = tmp_path / "f.json"
+    assert run("forecast", "--in", str(_far_volume_input(tmp_path)), "--seed", "7",
+               "--chains", "2", "--warmup", "1000", "--draws", "500", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    far = json.loads(out.read_text())["per_year"][1]
+    assert far["year"] == 2010 and far["n_points"] == 30
+    assert far["self_check"] <= forecast.SELF_CHECK_BOUND
+    rows = [r for r in cli._read_glm_rows(str(_far_volume_input(tmp_path))) if r[0] == 2010]
+    obs = forecast.observations_from_rows(rows)[0]
+    finer = forecast._fit_year(obs, np.random.default_rng(0), 1000, nodes=80)
+    for k in forecast.PARAM_NAMES:
+        assert abs(far["posterior_mean"][k] - finer.mean[k]) <= 0.01 * finer.sd[k], k
+    mean, sd = far["posterior_mean"], far["posterior_sd"]
+    assert abs(mean["mu"] - 5.0) < 0.5 and sd["mu"] == pytest.approx(1.0, abs=0.05)
+    assert mean["tau"] < 1e-4 and 0.05 < mean["b"] < 0.15
+
+
+def test_forecast_year_failing_the_grid_self_check_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(forecast, "SELF_CHECK_BOUND", 0.0)
+    out = tmp_path / "f.json"
+    assert run("forecast", "--in", str(_far_volume_input(tmp_path)), "--chains", "1",
+               "--draws", "1000", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: year 2009: grid self-check: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_forecast_unknown_language_fails(tmp_path, capsys):

@@ -3,7 +3,10 @@
 scipy.stats appears here only as the reference oracle for the hand-written
 densities; the library itself never calls it, so the two routes stay
 independent.  The one-state-at-a-time model densities below are the
-reference the library's batched targets are checked against.
+reference the library's batched targets are checked against.  The
+stage-1 posterior density of all six parameters, ``_year_log_target``,
+lives here too: the library computes each year's posterior on grids of
+two reduced blocks, and the tests check those blocks against it.
 """
 
 import json
@@ -240,10 +243,74 @@ def _year_log_target_reference(w: np.ndarray, obs: YearObservations) -> float:
     return log_posterior(z, obs) + log_tau + log_b
 
 
+def _padded_columns(observations):
+    """(x, r, has_point) arrays of shape (years, most points in a year).
+
+    Shorter years are padded with zeros that has_point marks as absent.
+    """
+    width = max((len(obs.points) for obs in observations), default=0)
+    x = np.zeros((len(observations), width))
+    r = np.zeros_like(x)
+    has_point = np.zeros(x.shape, dtype=bool)
+    for i, obs in enumerate(observations):
+        n = len(obs.points)
+        x[i, :n], r[i, :n] = obs.columns
+        has_point[i, :n] = True
+    return x, r, has_point
+
+
+def _padded_stats(x, has_point):
+    """Each row's (n, mean, residual sum, centred sum of squares) over its points."""
+    n = np.count_nonzero(has_point, axis=1)
+    mean = np.sum(x, axis=1, where=has_point) / np.maximum(n, 1)
+    dev = x - mean[:, None]
+    resid = np.sum(dev, axis=1, where=has_point)
+    sxx = np.sum(dev * dev, axis=1, where=has_point)
+    return n, mean, resid, sxx
+
+
+# the priors' normalising constants: four unit normals, Gamma(10, rate 1)
+# and InverseGamma(6, scale 1)
+_LOG_PRIOR_CONST = -2.0 * math.log(2.0 * math.pi) - math.lgamma(10.0) - math.lgamma(6.0)
+
+
+def _year_log_target(w, x, r, has_point, stats):
+    """Stage-1 log posterior of each row of w = (mu, log tau, alpha, beta0, beta1, log b).
+
+    Row k sees the points x[k], r[k] where has_point[k]; stats are
+    _padded_stats(x, has_point).  With the + log tau + log b Jacobian
+    the priors are closed forms in (log tau, log b):
+
+        -((mu - 5)^2 + (alpha - 1)^2 + beta0^2 + beta1^2) / 2
+        + 10 log tau - tau - 6 log b - 1/b + const.
+
+    The skew-normal's Gaussian part is
+    n (log 2 + log tau / 2 - log 2 pi / 2) - tau sum((x - mu)^2) / 2,
+    from the stats, and the Laplace part -n log 2b - sum|r - beta0 - beta1 x| / b.
+    A row with |log tau| or |log b| above 500 has density 0.  Padded
+    points are left out of the sum by its mask, never multiplied by 0.
+    This was the stage-1 sampler's target; the grid blocks are checked
+    against it.
+    """
+    n, mean, resid, sxx = stats
+    inside = (np.abs(w[:, 1]) <= 500) & (np.abs(w[:, 5]) <= 500)
+    w = np.where(inside[:, None], w, 0.0)  # finite stand-in for rows set to -inf below
+    mu, log_tau, alpha, beta0, beta1, log_b = w.T
+    tau, inv_b = np.exp(log_tau), np.exp(-log_b)
+    gap = mean - mu
+    quad = (mu - 5.0) ** 2 + (alpha - 1.0) ** 2 + beta0 * beta0 + beta1 * beta1
+    quad += tau * (sxx + gap * (2.0 * resid + n * gap))
+    closed = (10.0 + 0.5 * n) * log_tau - (6.0 + n) * log_b - tau - inv_b
+    closed -= 0.5 * (quad + n * math.log(2.0 * math.pi))
+    per_point = forecast.log_norm_cdf((x - mu[:, None]) * (alpha * np.sqrt(tau))[:, None])
+    per_point -= np.abs(r - (beta0[:, None] + beta1[:, None] * x)) * inv_b[:, None]
+    closed += np.sum(per_point, axis=1, where=has_point)
+    return np.where(inside, closed + _LOG_PRIOR_CONST, -np.inf)
+
+
 def _batched_year_target(w, x, r, has_point):
-    """The library's stage-1 target with the stats sample_posterior builds."""
-    stats = forecast._volume_stats(x, has_point)
-    return forecast._year_log_target(w, x, r, has_point, stats)
+    """The reference stage-1 target with its per-row stats."""
+    return _year_log_target(w, x, r, has_point, _padded_stats(x, has_point))
 
 
 def _state(**kw):
@@ -354,7 +421,7 @@ def _assert_year_target_matches_reference(years, rows):
     )
     w = np.array(rows)
     year_of_row = np.arange(len(w)) % len(observations)
-    x, r, has_point = (a[year_of_row] for a in forecast._padded_columns(observations))
+    x, r, has_point = (a[year_of_row] for a in _padded_columns(observations))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _batched_year_target(w, x, r, has_point)
@@ -388,6 +455,113 @@ def test_year_log_target_matches_reference_on_hostile_points(years, data):
                       hs.floats(-10.0, 10.0), hs.floats(-10.0, 10.0), hs.floats(-600.0, 600.0)),
             min_size=1, max_size=6))
     _assert_year_target_matches_reference(years, rows)
+
+
+# -- stage-1 grid blocks against the reference target ---------------------------
+
+
+def _reference_rows(obs, rows):
+    """_year_log_target of each (mu, log tau, alpha, beta0, beta1, log b) row, for one year."""
+    w = np.array(rows, dtype=float).reshape(-1, 6)
+    x, r, has_point = (np.repeat(a, len(w), axis=0) for a in _padded_columns((obs,)))
+    return _batched_year_target(w, x, r, has_point)
+
+
+def _assert_equal_up_to_a_constant(got, ref):
+    """Every entry of got - ref is the same, within 1e-12 of the reference's size."""
+    got, ref = np.ravel(got), np.ravel(ref)
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+    tol = 1e-12 * (np.abs(ref) + abs(ref[0])) + 1e-10
+    assert np.all(np.abs((got - got[0]) - (ref - ref[0])) <= tol), (got - ref)
+
+
+_BLOCK_POINTS = hs.one_of(_YEAR_POINTS, _HOSTILE_YEAR_POINTS)
+_BUNCHED_AT_1E8 = [(1e8, 0.5), (1e8, 0.5), (1e8 + 2.0**-26, 0.5)]
+
+
+def _nodes(data, values):
+    return np.array(data.draw(hs.lists(values, min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_BLOCK_POINTS, data=hs.data())
+@example(points=_BUNCHED_AT_1E8, data=None)
+@example(points=[], data=None)
+def test_volume_block_density_matches_reference(points, data):
+    # the grid's volume density in (mu, lambda = alpha sqrt(tau), log tau) is
+    # the reference's density in (mu, log tau, alpha) times the Jacobian
+    # tau^(-1/2) of alpha -> lambda, up to one constant per year, with the
+    # regression block held fixed
+    obs = YearObservations(2000, tuple(points))
+    x, _ = obs.columns
+    if data is None:
+        # mu 0.4 off the mean of points an ulp apart, where tau dominates: without
+        # the residual sum of the stats, tau sum((x - mu)^2) is off by 2 0.4 tau ulp
+        mu, lam, log_tau = np.array([1e8 + 0.4, 5.0]), np.array([-3.0, 0.5]), np.array([-37.0, 60.0])
+    else:
+        near_point = hs.sampled_from([p[0] for p in points] or [5.0]).flatmap(
+            lambda c: hs.sampled_from([c]) | hs.floats(c - 1.0, c + 1.0))
+        mu = _nodes(data, hs.floats(-400.0, 400.0) | near_point)
+        lam = _nodes(data, hs.floats(-50.0, 50.0))
+        log_tau = _nodes(data, hs.floats(-40.0, 30.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = forecast._volume_log_density(x, forecast._volume_stats(x), mu, lam, log_tau)
+    assert got.shape == (mu.size, lam.size, log_tau.size)
+    m, l, t = (a.ravel() for a in np.meshgrid(mu, lam, log_tau, indexing="ij"))
+    rows = np.stack([m, t, l * np.exp(-0.5 * t), 0 * m, 0 * m, 0 * m], axis=1)
+    _assert_equal_up_to_a_constant(got, _reference_rows(obs, rows) - 0.5 * t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=_BLOCK_POINTS, data=hs.data())
+@example(points=_BUNCHED_AT_1E8, data=None)
+@example(points=[], data=None)
+def test_regression_block_density_matches_reference_over_log_b(points, data):
+    # the grid's regression density, b integrated out in closed form, is the
+    # reference integrated numerically over log b, up to one constant per
+    # year, with the volume block held where its own part stays small
+    obs = YearObservations(2000, tuple(points))
+    x, r = obs.columns
+    n, mean = x.size, forecast._volume_stats(x)[1]
+    if data is None:
+        c, beta1 = np.array([0.5, 2.0, -1.0]), np.array([0.0, 1e-8, -0.3])
+    else:
+        c = _nodes(data, hs.floats(-3.0, 3.0))
+        beta1 = np.array(data.draw(hs.lists(hs.floats(-10.0, 10.0), min_size=c.size,
+                                            max_size=c.size)))
+    got, abs_sums = forecast._regression_log_density(x, r, mean, c, beta1)
+    sxx = float(np.sum((x - mean) ** 2))
+    ref = []
+    for ck, bk, a_sum in zip(c, beta1, abs_sums):
+        # log b around the mode of its InverseGamma(6 + n, 1 + A) conditional
+        step = np.linspace(-40.0, 40.0, 20001) / math.sqrt(6.0 + n)
+        log_b = math.log((1.0 + a_sum) / (6.0 + n)) + step
+        rows = np.zeros((log_b.size, 6))
+        rows[:] = mean, -math.log1p(sxx), 0.0, ck - mean * bk, bk, 0.0
+        rows[:, 5] = log_b
+        lp = _reference_rows(obs, rows)
+        top = lp.max()
+        ref.append(top + math.log(np.sum(np.exp(lp - top)) * (step[1] - step[0])))
+    _assert_equal_up_to_a_constant(got, ref)
+
+
+@pytest.mark.parametrize("which", ["fixture", "500 points"])
+def test_grid_means_agree_with_a_twice_finer_grid(glm_input_csv, which):
+    if which == "fixture":
+        from contagion.cli import _read_glm_rows
+
+        observations = forecast.observations_from_rows(_read_glm_rows(str(glm_input_csv)))
+    else:
+        observations = (_synthetic_year(500),)
+    for obs in observations:
+        fits = [forecast._fit_year(obs, np.random.default_rng(0), 1000, nodes=nodes)
+                for nodes in (40, 80)]
+        for k in forecast.PARAM_NAMES:
+            coarse, fine = (fit.mean[k] for fit in fits)
+            assert abs(coarse - fine) <= 2e-3 * fits[1].sd[k], (obs.year, k)
+            assert fits[0].sd[k] == pytest.approx(fits[1].sd[k], rel=2e-3), (obs.year, k)
+        assert fits[0].self_check <= forecast.SELF_CHECK_BOUND
 
 
 # -- observation plumbing ------------------------------------------------------
@@ -442,7 +616,9 @@ def test_sampler_config_validation():
 
 def _posterior(year=2019, n=1000, value=1.0):
     draws = {k: np.full(n, value) for k in forecast.PARAM_NAMES}
-    return PosteriorSamples(year=year, draws=draws, acceptance=(0.3,), warnings=())
+    means = {k: value for k in forecast.PARAM_NAMES}
+    sds = {k: 0.0 for k in forecast.PARAM_NAMES}
+    return PosteriorSamples(year=year, mean=means, sd=sds, draws=draws, self_check=0.0)
 
 
 def test_posterior_samples_validation():
@@ -450,30 +626,33 @@ def test_posterior_samples_validation():
         _posterior(n=999)
     bad = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
     bad["tau"] = np.full(1000, -1.0)
+    ones = {k: 1.0 for k in forecast.PARAM_NAMES}
     with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, draws=bad, acceptance=(), warnings=())
+        PosteriorSamples(year=2019, mean=ones, sd=ones, draws=bad, self_check=0.0)
     uneven = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
     uneven["mu"] = np.full(1001, 1.0)
     with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, draws=uneven, acceptance=(), warnings=())
+        PosteriorSamples(year=2019, mean=ones, sd=ones, draws=uneven, self_check=0.0)
 
 
 def test_pseudo_observations_mean_and_order():
     degenerate = _posterior(2018, value=2.5)
     assert degenerate.mean_state() == GlmState(2.5, 2.5, 2.5, 2.5, 2.5, 2.5)
+    # the state is the exact posterior mean the grid gives, not the draws' mean
     halves = {k: np.concatenate([np.zeros(500), np.full(500, 2.0)])
               for k in forecast.PARAM_NAMES}
     halves["tau"] = np.abs(halves["tau"]) + 0.5  # stay positive
     halves["b"] = np.abs(halves["b"]) + 0.5
-    mixed = PosteriorSamples(year=2019, draws=halves, acceptance=(), warnings=())
-    assert mixed.mean_state().mu == 1.0  # mean of {0, 2}
+    means = {k: 0.75 for k in forecast.PARAM_NAMES}
+    mixed = PosteriorSamples(year=2019, mean=means, sd=means, draws=halves, self_check=0.0)
+    assert mixed.mean_state().mu == 0.75
     pseudo = forecast.pseudo_observations([degenerate, mixed])
     assert pseudo[0] == degenerate.mean_state()
     with pytest.raises(ValueError):
         forecast.pseudo_observations([_posterior(2018), _posterior(2020)])
 
 
-# -- MCMC: per-year fit ---------------------------------------------------------
+# -- per-year fit on the grid ----------------------------------------------------
 
 
 def test_sample_posterior_deterministic():
@@ -483,7 +662,11 @@ def test_sample_posterior_deterministic():
     (b,) = forecast.sample_posterior((obs,), cfg)
     for k in forecast.PARAM_NAMES:
         assert np.array_equal(a.draws[k], b.draws[k])
-    assert a.acceptance == b.acceptance
+    assert (a.mean, a.sd, a.self_check) == (b.mean, b.sd, b.self_check)
+    # the means and sds come from the grid: another seed moves only the draws
+    (c,) = forecast.sample_posterior((obs,), SamplerConfig(seed=4, chains=1, draws=1000))
+    assert (c.mean, c.sd) == (a.mean, a.sd)
+    assert not np.array_equal(c.draws["mu"], a.draws["mu"])
 
 
 def test_sample_posterior_prior_dominance():
@@ -491,37 +674,74 @@ def test_sample_posterior_prior_dominance():
     cfg = SamplerConfig(seed=4, chains=2, warmup=1000, draws=1000)
     (out,) = forecast.sample_posterior((obs,), cfg)
     assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
+    assert abs(out.mean["mu"] - 5.0) < 0.5
 
 
 def test_sample_posterior_without_points_samples_prior():
-    # the empty year shares its batch with a year of points, so it is all padding
+    # the empty year's posterior is the prior: its exact means and sds are the
+    # priors' (InverseGamma(6, 1) has mean 1/5 and sd 1/10)
     empty = YearObservations(2019, ())
     full = forecast.year_observations(2020, [(3.0 + 0.01 * i, 0.4) for i in range(50)])
     cfg = SamplerConfig(seed=5, chains=2, warmup=1000, draws=1000)
     out, other = forecast.sample_posterior((empty, full), cfg)
     assert (out.year, other.year) == (2019, 2020)
-    assert len(out.acceptance) == len(other.acceptance) == 2
+    prior_mean = dict(mu=5.0, tau=10.0, alpha=1.0, beta0=0.0, beta1=0.0, b=0.2)
+    prior_sd = dict(mu=1.0, tau=math.sqrt(10.0), alpha=1.0, beta0=1.0, beta1=1.0, b=0.1)
+    for k in forecast.PARAM_NAMES:
+        assert out.mean[k] == pytest.approx(prior_mean[k], abs=1e-3 * prior_sd[k]), k
+        assert out.sd[k] == pytest.approx(prior_sd[k], rel=1e-3), k
     assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
     assert float(np.mean(other.draws["mu"])) < 4.0
 
 
-def test_sample_posterior_synthetic_recovery():
-    # known-parameter oracle: beta1 recovered within 3 posterior sd.
-    # Points are deliberately NOT filtered to (0,1): with beta0=-1 most of
-    # the response range sits outside the unit interval and filtering would
-    # bias the slope far below its generating value.
+def _synthetic_year(n):
+    """n points of 2019 from _state()'s parameters.
+
+    Points are deliberately NOT filtered to (0,1): with beta0=-1 most of
+    the response range sits outside the unit interval and filtering would
+    bias the slope far below its generating value.
+    """
     truth = _state()  # mu 5, tau 10, alpha 1, beta0 -1, beta1 0.2, b 0.05
     rng = np.random.default_rng(2468)
-    x = forecast.sample_skewnorm(rng, truth.mu, truth.tau ** -0.5, truth.alpha, 500)
-    r = truth.beta0 + truth.beta1 * x + rng.laplace(0.0, truth.b, 500)
-    obs = YearObservations(2019, tuple((float(a), float(c)) for a, c in zip(x, r)))
+    x = forecast.sample_skewnorm(rng, truth.mu, truth.tau ** -0.5, truth.alpha, n)
+    r = truth.beta0 + truth.beta1 * x + rng.laplace(0.0, truth.b, n)
+    return YearObservations(2019, tuple((float(a), float(c)) for a, c in zip(x, r)))
+
+
+def test_sample_posterior_synthetic_recovery():
+    # known-parameter oracle: beta1 recovered within 3 posterior sd
+    truth = _state()
     cfg = SamplerConfig(seed=1, chains=2, warmup=2000, draws=1000)
-    (out,) = forecast.sample_posterior((obs,), cfg)
+    (out,) = forecast.sample_posterior((_synthetic_year(500),), cfg)
     mean = float(np.mean(out.draws["beta1"]))
     sd = float(np.std(out.draws["beta1"]))
     assert abs(mean - truth.beta1) <= 3 * sd
-    assert all(0.1 <= rate <= 0.6 for rate in out.acceptance)
-    assert out.warnings == ()
+    assert abs(out.mean["beta1"] - truth.beta1) <= 3 * out.sd["beta1"]
+    assert out.self_check <= forecast.SELF_CHECK_BOUND
+
+
+def test_draws_follow_the_grid_posterior():
+    # i.i.d. draws from the gridded posterior: their means sit within 4
+    # standard errors of the exact means, their sds within 5%
+    (out,) = forecast.sample_posterior(
+        (_synthetic_year(150),), SamplerConfig(seed=2, chains=4, draws=2500))
+    for k in forecast.PARAM_NAMES:
+        draws = out.draws[k]
+        assert abs(float(np.mean(draws)) - out.mean[k]) <= 4 * out.sd[k] / math.sqrt(draws.size), k
+        assert float(np.std(draws)) == pytest.approx(out.sd[k], rel=0.05), k
+
+
+def test_year_failing_the_self_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(forecast, "SELF_CHECK_BOUND", 0.0)
+    with pytest.raises(ValueError, match=r"^year 2019: grid self-check: means on every other node"):
+        forecast.sample_posterior((_synthetic_year(50),), SamplerConfig(chains=1, draws=1000))
+
+
+def test_year_whose_box_does_not_settle_is_an_error(monkeypatch):
+    # one pass per phase: the first coarse pass of every block widens or zooms
+    monkeypatch.setattr(forecast, "_MAX_PASSES", 1)
+    with pytest.raises(ValueError, match=r"^year 2019: the grid box did not settle within 1 passes"):
+        forecast.sample_posterior((_synthetic_year(50),), SamplerConfig(chains=1, draws=1000))
 
 
 def _assert_refresh_keeps_row_1_only(recent):
@@ -600,7 +820,7 @@ def _kernel_year_target():
     observations = forecast.observations_from_rows(
         [r for r in trend_rows(points_per_year=40) if r[0] in TREND_YEARS[:2]]
     )
-    x, r, has_point = (np.repeat(a, 2, axis=0) for a in forecast._padded_columns(observations))
+    x, r, has_point = (np.repeat(a, 2, axis=0) for a in _padded_columns(observations))
     base = np.array([5.0, math.log(10.0), 1.0, 0.0, 0.0, math.log(0.2)])
     x0 = base + 0.1 * np.random.default_rng(21).standard_normal((4, 6))
     return (lambda w: _batched_year_target(w, x, r, has_point)), x0

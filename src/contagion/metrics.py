@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .tally import RESOLUTIONS, BucketedSeries, Cell, TallyStore, rebucket
+from .tally import RESOLUTIONS, BucketedSeries, Counts, Reducer, TallyStore, rebucket
 
 METRICS = ("ratio", "gain", "p_ot", "p_rt")
 METHODS = ("mean_of_daily", "ratio_of_sums")
@@ -130,32 +130,40 @@ def aggregate_metric(
         raise ValueError("unknown method %r" % method)
     if resolution not in RESOLUTIONS:
         raise ValueError("unknown resolution %r" % resolution)
-    return _bucket_cells(store.cells(language), resolution, metric, method)
+    return rebucket(store.day_counts(language), resolution, _bucket_reducer(metric, method))
 
 
-def _bucket_cells(
-    cells: Sequence[Cell], resolution: str, metric: str, method: str
-) -> BucketedSeries:
-    """aggregate_metric over one language's (date, f_ot, f_rt) cells."""
-    if not cells:
-        return BucketedSeries(resolution, ())
+# metric -> the defined daily values of a run of (f_ot, f_rt) cells, in
+# order: _daily_metric's formulas written out per metric, because this is
+# the per-cell loop of every bucketed read
+_DEFINED_DAILY = {
+    "ratio": lambda cells: [f_rt / f_ot for f_ot, f_rt in cells if f_ot],
+    "gain": lambda cells: [
+        10.0 * math.log10((f_ot + f_rt) / f_ot) for f_ot, f_rt in cells if f_ot
+    ],
+    "p_ot": lambda cells: [f_ot / (f_ot + f_rt) for f_ot, f_rt in cells if f_ot + f_rt],
+    "p_rt": lambda cells: [f_rt / (f_ot + f_rt) for f_ot, f_rt in cells if f_ot + f_rt],
+}
 
+
+def _bucket_reducer(metric: str, method: str) -> Reducer:
+    """rebucket reducer from one bucket's (f_ot, f_rt) cells to its metric value."""
     if method == "mean_of_daily":
-        daily = [(date, _daily_metric(f_ot, f_rt, metric)) for date, f_ot, f_rt in cells]
-        return rebucket(daily, resolution, "mean")
+        defined_daily = _DEFINED_DAILY[metric]
 
-    # ratio_of_sums: fold counts into buckets first.  Reuse rebucket's sum
-    # path per component so bucket alignment stays in one place.
-    ot_sums = rebucket([(date, f_ot) for date, f_ot, _ in cells], resolution, "sum")
-    rt_sums = rebucket([(date, f_rt) for date, _, f_rt in cells], resolution, "sum")
-    points = []
-    for (start, f_ot), (_, f_rt) in zip(ot_sums.points, rt_sums.points):
-        if f_ot is None and f_rt is None:
-            points.append((start, None))
-            continue
-        value = _daily_metric(int(f_ot or 0), int(f_rt or 0), metric)
-        points.append((start, value))
-    return BucketedSeries(resolution, tuple(points))
+        def mean_of_daily(cells: Sequence[Counts]) -> Optional[float]:
+            values = defined_daily(cells)
+            # fsum keeps bucket means exact for constant series
+            return math.fsum(values) / len(values) if values else None
+
+        return mean_of_daily
+
+    def ratio_of_sums(cells: Sequence[Counts]) -> Optional[float]:
+        # exact integer sums: a float sum would round past 2**53
+        f_ot, f_rt = map(sum, zip(*cells))
+        return _daily_metric(f_ot, f_rt, metric)
+
+    return ratio_of_sums
 
 
 def rank_table(
@@ -211,13 +219,16 @@ def annual_glm_table(
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % method)
+    ratio_of = _bucket_reducer("ratio", method)
+
+    def year_row(cells: Sequence[Counts]) -> Optional[Tuple[float, float]]:
+        # one pass per language-year gives its volume and its ratio
+        ratio = ratio_of(cells)
+        return None if ratio is None else (math.log10(sum(map(sum, cells))), ratio)
+
     rows = []
     for lang in store.languages():
-        cells = store.cells(lang)
-        series = _bucket_cells(cells, "year", "ratio", method)
-        volume = rebucket([(date, f_ot + f_rt) for date, f_ot, f_rt in cells], "year", "sum")
-        for (start, ratio), (_, n_at) in zip(series.points, volume.points):
-            if ratio is None or not n_at:
-                continue
-            rows.append((start.year, lang, math.log10(n_at), ratio))
+        for start, row in rebucket(store.day_counts(lang), "year", year_row).points:
+            if row is not None:
+                rows.append((start.year, lang) + row)
     return tuple(sorted(rows))

@@ -1,9 +1,10 @@
 """Per-day, per-language message counters.
 
 The tally layer sits between ingestion and analytics.  A TallyStore maps
-each language to its days, and each (language, day) cell to a pair of
-organic / retweeted counts, so every per-language read (a daily series,
-a yearly table row) visits that language's cells and no others.  Stores
+each language to its days, and each (language, day) cell to an immutable
+(f_ot, f_rt) tuple of organic / retweeted counts, so every per-language
+read (a daily series, a yearly table row) visits that language's cells
+and no others.  Stores
 form a commutative monoid under merge, which is what makes shard-then-merge
 ingestion safe: any partition of the input stream, tallied independently
 and merged in any order, yields the same store as a single pass.
@@ -11,7 +12,8 @@ and merged in any order, yields the same store as a single pass.
 Also here: calendar re-bucketing (day/week/month/quarter/year) and a
 trailing rolling mean over daily series, both of which operate on plain
 (date, value) sequences so the analytics layer can reuse them for any
-derived quantity.
+derived quantity: rebucket hands each bucket's values to a reducer, so a
+bucket of (f_ot, f_rt) cells can be reduced straight from its counts.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Optional, Sequence, TextIO, Tuple
+from itertools import islice
+from operator import attrgetter, ge, itemgetter
+from typing import Any, Callable, Iterable, Optional, Sequence, TextIO, Tuple, Union
 
 from .ingest import OT, CategorizedMessage, ParseStats, categorize, parse_ndjson
 
@@ -36,8 +39,10 @@ CSV_HEADER = ("date", "language", "f_ot", "f_rt")
 MAX_COUNT = 2**53
 
 DailyPoint = Tuple[dt.date, Optional[float]]
+Counts = Tuple[int, int]  # (f_ot, f_rt)
 Cell = Tuple[dt.date, int, int]
 Row = Tuple[dt.date, str, int, int]
+Reducer = Callable[[list], Any]
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,14 @@ class BucketedSeries:
 
     Buckets are contiguous from the first to the last observed day; empty
     buckets carry None rather than being dropped, so consumers can tell
-    "no data" from "zero".
+    "no data" from "zero".  A value is whatever the bucket's reducer gave,
+    a float or None for the "mean" and "sum" aggregators.
     """
 
     resolution: str
-    points: Tuple[Tuple[dt.date, Optional[float]], ...]
+    points: Tuple[Tuple[dt.date, Any], ...]
 
-    def values(self) -> Tuple[Optional[float], ...]:
+    def values(self) -> Tuple[Any, ...]:
         return tuple(v for _, v in self.points)
 
 
@@ -74,13 +80,15 @@ class TallyStore:
     """Mergeable language -> day -> (f_ot, f_rt) counter map.
 
     Cells are keyed by language first, so a per-language read touches only
-    that language's days.  Cells never persist at (0, 0) and no language
-    persists without cells: incrementing by zero is a no-op, so nothing
-    empty is ever stored and == compares the nested dicts directly.
+    that language's days.  Each cell is an immutable (f_ot, f_rt) tuple,
+    replaced on every increment, so stores may share cells.  Cells never
+    persist at (0, 0) and no language persists without cells: incrementing
+    by zero is a no-op, so nothing empty is ever stored and == compares the
+    nested dicts directly.
     """
 
     def __init__(self) -> None:
-        self.entries: dict[str, dict[dt.date, list[int]]] = {}
+        self.entries: dict[str, dict[dt.date, Counts]] = {}
         self.errors: dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -107,11 +115,7 @@ class TallyStore:
         if days is None:
             days = self.entries[language] = {}
         cell = days.get(date)
-        if cell is None:
-            days[date] = [f_ot, f_rt]
-        else:
-            cell[0] += f_ot
-            cell[1] += f_rt
+        days[date] = (f_ot, f_rt) if cell is None else (cell[0] + f_ot, cell[1] + f_rt)
 
     def count_error(self, key: str, n: int = 1) -> None:
         if n:
@@ -121,9 +125,8 @@ class TallyStore:
     def error_total(self) -> int:
         return sum(self.errors.values())
 
-    def get(self, date: dt.date, language: str) -> Tuple[int, int]:
-        cell = self.entries.get(language, {}).get(date)
-        return (cell[0], cell[1]) if cell else (0, 0)
+    def get(self, date: dt.date, language: str) -> Counts:
+        return self.entries.get(language, {}).get(date, (0, 0))
 
     def languages(self) -> Tuple[str, ...]:
         return tuple(sorted(self.entries))
@@ -136,10 +139,13 @@ class TallyStore:
             for date, (f_ot, f_rt) in days.items()
         )
 
+    def day_counts(self, language: str) -> list[Tuple[dt.date, Counts]]:
+        """This language's cells only, as (date, (f_ot, f_rt)) pairs sorted by date."""
+        return sorted(self.entries.get(language, {}).items())
+
     def cells(self, language: str) -> list[Cell]:
         """This language's cells only, as plain (date, f_ot, f_rt) tuples sorted by date."""
-        days = self.entries.get(language, {})
-        return [(date, f_ot, f_rt) for date, (f_ot, f_rt) in sorted(days.items())]
+        return [(date, f_ot, f_rt) for date, (f_ot, f_rt) in self.day_counts(language)]
 
     def daily_counts(self, language: str) -> Tuple[DayTally, ...]:
         """This language's cells only, as DayTally records sorted by date."""
@@ -156,13 +162,16 @@ def accumulate(store: TallyStore, msg: CategorizedMessage, label: str) -> TallyS
 
 def merge(a: TallyStore, b: TallyStore) -> TallyStore:
     """Entrywise sum of two stores; error counters sum as well."""
+    # cells are immutable, so `a`'s can be shared: copy its day dicts and
+    # add `b`'s cells on top
     out = TallyStore()
-    for store in (a, b):
-        for lang, days in store.entries.items():
-            for date, (f_ot, f_rt) in days.items():
-                out.add_counts(date, lang, f_ot, f_rt)
-        for key, n in store.errors.items():
-            out.count_error(key, n)
+    out.entries = {lang: dict(days) for lang, days in a.entries.items()}
+    out.errors = dict(a.errors)
+    for lang, days in b.entries.items():
+        for date, (f_ot, f_rt) in days.items():
+            out.add_counts(date, lang, f_ot, f_rt)
+    for key, n in b.errors.items():
+        out.count_error(key, n)
     return out
 
 
@@ -218,6 +227,7 @@ def load_csv(fh: TextIO) -> TallyStore:
     if tuple(header) != CSV_HEADER:
         raise ValueError("bad tally header: %r" % (header,))
     store = TallyStore()
+    entries = store.entries  # written in place: add_counts per row costs a call
     dates: dict[str, dt.date] = {}  # every language repeats each day's string
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -238,7 +248,12 @@ def load_csv(fh: TextIO) -> TallyStore:
         if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):
             problem = "negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53"
             raise ValueError("line %d: %s" % (lineno, problem))
-        store.add_counts(date, language, f_ot, f_rt)
+        if f_ot or f_rt:  # as add_counts: a (0, 0) row stores nothing
+            days = entries.get(language)
+            if days is None:
+                days = entries[language] = {}
+            cell = days.get(date)
+            days[date] = (f_ot, f_rt) if cell is None else (cell[0] + f_ot, cell[1] + f_rt)
     return store
 
 
@@ -284,40 +299,64 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _over_defined(fold: Callable[[list[float]], float]) -> Reducer:
+    """Reducer folding a bucket's defined values; None when it has none."""
+
+    def reduce(values: Sequence[Optional[float]]) -> Optional[float]:
+        defined = [float(v) for v in values if v is not None]
+        return fold(defined) if defined else None
+
+    return reduce
+
+
+_REDUCERS = {"mean": _over_defined(_mean), "sum": _over_defined(math.fsum)}
+
+
+def _increasing_dates(series: Sequence[Tuple[dt.date, Any]]) -> list[dt.date]:
+    dates = list(map(itemgetter(0), series))
+    if any(map(ge, dates, islice(dates, 1, None))):
+        raise ValueError("daily series must be strictly increasing in date")
+    return dates
+
+
 def rebucket(
-    series: Sequence[DailyPoint], resolution: str, aggregator: str = "mean"
+    series: Sequence[Tuple[dt.date, Any]],
+    resolution: str,
+    aggregator: Union[str, Reducer] = "mean",
 ) -> BucketedSeries:
     """Group a sorted daily series into aligned calendar buckets.
 
-    Missing days (value None) never contribute; a bucket with no defined
-    values comes out as None.  `aggregator` is "mean" or "sum".
+    `aggregator` is "mean", "sum" or a reducer: a function from the list
+    of one bucket's values, in date order, to the bucket's value.  A
+    bucket without days comes out as None and never reaches the reducer.
+    "mean" and "sum" skip missing days (value None) and give None for a
+    bucket with no defined values.
     """
     if resolution not in RESOLUTIONS:
         raise ValueError("unknown resolution %r" % resolution)
-    if aggregator not in AGGREGATORS:
-        raise ValueError("unknown aggregator %r" % aggregator)
+    if callable(aggregator):
+        reduce = aggregator
+    elif aggregator in AGGREGATORS:
+        reduce = _REDUCERS[aggregator]
+    else:
+        raise ValueError("unknown aggregator %r" % (aggregator,))
     if not series:
         return BucketedSeries(resolution, ())
-    dates = [d for d, _ in series]
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise ValueError("daily series must be strictly increasing in date")
+    dates = _increasing_dates(series)
+    values = list(map(itemgetter(1), series))
 
-    # a sorted series visits each bucket in one run of equal keys
+    # each bucket's days are one run of the sorted dates, ended by the
+    # next bucket's start: one bisection per bucket, no key per day
     key_of, start_of = _BUCKET_KEYS[resolution]
+    first, last = key_of(dates[0]), key_of(dates[-1])
     points = []
-    next_key = key_of(dates[0])
-    keyed = zip(map(key_of, dates), (value for _, value in series))
-    for key, run in groupby(keyed, itemgetter(0)):
-        points.extend((start_of(k), None) for k in range(next_key, key))
-        values = [float(value) for _, value in run if value is not None]
-        if not values:
-            agg: Optional[float] = None
-        elif aggregator == "mean":
-            agg = _mean(values)
-        else:
-            agg = math.fsum(values)
-        points.append((start_of(key), agg))
-        next_key = key + 1
+    lo, start = 0, start_of(first)
+    for key in range(first, last + 1):
+        # the last bucket ends the series (its successor may not be a date)
+        end = start_of(key + 1) if key < last else None
+        hi = len(dates) if end is None else bisect_left(dates, end, lo)
+        points.append((start, reduce(values[lo:hi]) if hi > lo else None))
+        lo, start = hi, end
     return BucketedSeries(resolution, tuple(points))
 
 
@@ -331,9 +370,7 @@ def rolling_mean(series: Sequence[DailyPoint], window_days: int) -> Tuple[DailyP
         raise ValueError("window_days must be >= 1")
     if not series:
         return ()
-    dates = [d for d, _ in series]
-    if any(b <= a for a, b in zip(dates, dates[1:])):
-        raise ValueError("daily series must be strictly increasing in date")
+    dates = _increasing_dates(series)
 
     # values[i] is day first + i, so each window is one slice, read newest
     # day first: fsum rounds exactly, but its intermediate-overflow error

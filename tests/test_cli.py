@@ -606,17 +606,21 @@ def _fresh_python(script, *args):
 def test_cli_import_does_not_load_scipy(tmp_path):
     # numpy, scipy and the forecast and compare layers load in the commands
     # that compute with them: not at start-up, nor in ingest --lid external
-    # or metric
+    # or either metric path (the GLM table and a bucketed series)
     script = _LOADED + """
 print(loaded())
 assert cli.main(["ingest", "--lid", "external", "--in", sys.argv[1], "--out", sys.argv[3]]) == 0
 assert cli.main(["metric", "--metric", "glm-input", "--in", sys.argv[2], "--out", sys.argv[4]]) == 0
+assert cli.main(["metric", "--metric", "ratio", "--resolution", "month",
+                 "--in", sys.argv[2], "--out", sys.argv[5]]) == 0
 print(loaded())
 import contagion
 print(contagion.compare.__name__)  # submodules still load on attribute access
 """
-    out = _fresh_python(script, MINI, ANNUAL, str(tmp_path / "t.csv"), str(tmp_path / "g.csv"))
+    out = _fresh_python(script, MINI, ANNUAL, str(tmp_path / "t.csv"), str(tmp_path / "g.csv"),
+                        str(tmp_path / "m.csv"))
     assert out == "[]\n[]\ncontagion.compare\n"
+    assert (tmp_path / "m.csv").read_text().count(",ratio,") == 2 * 12
     assert (tmp_path / "t.csv").read_bytes() == (GOLDEN / "tally_external.csv").read_bytes()
 
 
@@ -771,6 +775,22 @@ def test_metric_count_above_2_53_exits_1(tmp_path, capsys, count):
                "--metric", "ratio", "--resolution", "year") == 1
     assert capsys.readouterr().err == "error: line 3: count above 2**53\n"
     assert not out.exists()
+
+
+def test_ratio_of_sums_sums_counts_past_2_53_exactly(tmp_path):
+    # the organic sum 2**53 + 1 is not a float: summed as floats it rounds
+    # to 2**53 and the ratio reads 1.0
+    src = tmp_path / "tally.csv"
+    src.write_text("date,language,f_ot,f_rt\n2019-01-01,en,%d,%d\n2019-01-02,en,1,0\n"
+                   % (2**53, 2**53))
+    assert repr(2**53 / (2**53 + 1)) == "0.9999999999999999"
+    series = run_read(tmp_path, "metric", "--in", str(src), "--metric", "ratio",
+                      "--resolution", "month", "--method", "ratio_of_sums")
+    assert series == "bucket_start,language,metric,value\n2019-01-01,en,ratio,0.9999999999999999\n"
+    glm = run_read(tmp_path, "metric", "--in", str(src), "--metric", "glm-input",
+                   "--method", "ratio_of_sums")
+    assert glm == "year,language,log10_n,ratio\n2019,en,%r,0.9999999999999999\n" % (
+        math.log10(2**54 + 1))
 
 
 @pytest.mark.parametrize("day", ["20190102", "2019-W01-3", "2019W013"])

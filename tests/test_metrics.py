@@ -1,6 +1,8 @@
 """Contagion metrics tests: ratios, gain, aggregation methods, ranks, Pareto."""
 
+import csv
 import datetime as dt
+import io
 import math
 import random
 
@@ -237,15 +239,18 @@ def _reference_aggregate_metric(store, language, resolution, metric, method):
     if method == "mean_of_daily":
         daily = [(c.date, metrics._daily_metric(c.f_ot, c.f_rt, metric)) for c in cells]
         return reference_rebucket(daily, resolution, "mean")
-    ot_sums = reference_rebucket([(c.date, float(c.f_ot)) for c in cells], resolution, "sum")
-    rt_sums = reference_rebucket([(c.date, float(c.f_rt)) for c in cells], resolution, "sum")
-    points = []
-    for (start, f_ot), (_, f_rt) in zip(ot_sums.points, rt_sums.points):
-        if f_ot is None and f_rt is None:
-            points.append((start, None))
-            continue
-        points.append((start, metrics._daily_metric(int(f_ot or 0), int(f_rt or 0), metric)))
-    return tally.BucketedSeries(resolution, tuple(points))
+    # exact integer sums per bucket; reference_rebucket walks the buckets
+    sums = {}
+    for c in cells:
+        bucket = sums.setdefault(tally.bucket_start(c.date, resolution), [0, 0])
+        bucket[0] += c.f_ot
+        bucket[1] += c.f_rt
+    walk = reference_rebucket([(c.date, None) for c in cells], resolution, "sum")
+    points = tuple(
+        (start, metrics._daily_metric(*sums[start], metric) if start in sums else None)
+        for start, _ in walk.points
+    )
+    return tally.BucketedSeries(resolution, points)
 
 
 def _reference_annual_glm_table(store, method):
@@ -286,3 +291,34 @@ def test_metric_paths_match_reference_on_arbitrary_stores(data, resolution):
                 expected = _reference_aggregate_metric(store, lang, resolution, metric, method)
                 assert metrics.aggregate_metric(store, lang, resolution, metric, method) == expected
         assert metrics.annual_glm_table(store, method) == _reference_annual_glm_table(store, method)
+
+
+@settings(deadline=None, max_examples=100)
+@given(store=tally_stores(hs.dates(D(2018, 11, 1), D(2020, 2, 29))), data=hs.data())
+def test_row_order_and_split_rows_change_no_result(store, data):
+    # a tally file's rows may come in any order and a cell may be split
+    # over several rows: nothing may rely on save_csv's (date, language) order
+    buf = io.StringIO()
+    tally.save_csv(store, buf)
+    rows = []
+    for day, lang, ot, rt in list(csv.reader(io.StringIO(buf.getvalue())))[1:]:
+        f_ot, f_rt = int(ot), int(rt)
+        if data.draw(hs.booleans()):
+            ot_1, rt_1 = data.draw(hs.integers(0, f_ot)), data.draw(hs.integers(0, f_rt))
+            rows += [(day, lang, ot_1, rt_1), (day, lang, f_ot - ot_1, f_rt - rt_1)]
+        else:
+            rows.append((day, lang, f_ot, f_rt))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(tally.CSV_HEADER)
+    writer.writerows(data.draw(hs.permutations(rows)))
+
+    loaded = tally.load_csv(io.StringIO(text.getvalue()))
+    assert loaded.entries == store.entries and loaded.errors == {}
+    for method in metrics.METHODS:
+        assert metrics.annual_glm_table(loaded, method) == metrics.annual_glm_table(store, method)
+        for resolution in tally.RESOLUTIONS:
+            for metric in metrics.METRICS:
+                for lang in store.languages():
+                    assert metrics.aggregate_metric(loaded, lang, resolution, metric, method) \
+                        == metrics.aggregate_metric(store, lang, resolution, metric, method)

@@ -115,6 +115,19 @@ def test_conservation_on_fixture(mini_ndjson):
 
 
 @settings(deadline=None)
+@given(a=_STORES, b=_STORES)
+def test_merge_leaves_its_operands_alone(a, b):
+    # merge shares a's immutable cells but none of its dicts
+    before = [(dict(s.errors), {lang: dict(days) for lang, days in s.entries.items()})
+              for s in (a, b)]
+    merged = tally.merge(a, b)
+    for lang in a.languages() + ("new",):
+        merged.add_counts(D(2019, 1, 1), lang, 1, 1)
+    merged.count_error("bad_json")
+    assert [(s.errors, s.entries) for s in (a, b)] == before
+
+
+@settings(deadline=None)
 @given(a=_STORES, b=_STORES, c=_STORES)
 def test_merge_monoid_on_arbitrary_stores(a, b, c):
     assert tally.merge(a, TallyStore()) == a == tally.merge(TallyStore(), a)
@@ -170,7 +183,7 @@ def test_load_csv_rejects_negative_counts():
 
 def test_load_csv_accepts_counts_up_to_2_53():
     text = "date,language,f_ot,f_rt\n2019-01-01,en,%d,%d\n" % (2**53, 2**53)
-    assert tally.load_csv(io.StringIO(text)).entries == {"en": {D(2019, 1, 1): [2**53, 2**53]}}
+    assert tally.load_csv(io.StringIO(text)).entries == {"en": {D(2019, 1, 1): (2**53, 2**53)}}
 
 
 def test_load_csv_rejects_malformed_row():
@@ -204,13 +217,13 @@ def test_load_csv_errors_name_the_line(row, message):
 def test_load_csv_sums_duplicate_rows_into_one_cell():
     text = "date,language,f_ot,f_rt\n2019-01-01,en,1,2\n2019-01-01,en,3,4\n"
     store = tally.load_csv(io.StringIO(text))
-    assert store.entries == {"en": {D(2019, 1, 1): [4, 6]}}
+    assert store.entries == {"en": {D(2019, 1, 1): (4, 6)}}
 
 
 def test_load_csv_zero_row_leaves_nothing():
     text = "date,language,f_ot,f_rt\n2019-01-01,th,0,0\n2019-01-02,en,0,0\n2019-01-02,th,1,0\n"
     store = tally.load_csv(io.StringIO(text))
-    assert store.entries == {"th": {D(2019, 1, 2): [1, 0]}}
+    assert store.entries == {"th": {D(2019, 1, 2): (1, 0)}}
     assert store.languages() == ("th",)
 
 
@@ -269,6 +282,15 @@ def test_rebucket_ignores_missing_days():
     days = [(D(2019, 1, 1), 2.0), (D(2019, 1, 2), None), (D(2019, 1, 3), 4.0)]
     series = tally.rebucket(days, "month", "mean")
     assert series.points == ((D(2019, 1, 1), 3.0),)
+
+
+def test_rebucket_hands_each_bucket_run_to_a_reducer():
+    # values of any kind, in date order; an empty bucket never reaches it
+    runs = []
+    days = [(D(2019, 1, 30), "a"), (D(2019, 1, 31), None), (D(2019, 3, 1), "c")]
+    series = tally.rebucket(days, "month", lambda values: runs.append(values) or len(runs))
+    assert runs == [["a", None], ["c"]]
+    assert series.points == ((D(2019, 1, 1), 1), (D(2019, 2, 1), None), (D(2019, 3, 1), 2))
 
 
 def test_rebucket_requires_strictly_increasing():

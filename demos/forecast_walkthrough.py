@@ -4,9 +4,11 @@
 Stage 1 computes each year's joint skew-normal volume / Laplace
 regression posterior exactly on two grids, one per independent block of
 parameters, and checks each year's means against the same grid at every
-other node.  Stage 2 compresses each posterior to its exact mean vector
-and fits a correlated Gaussian random walk to the year-to-year increments
-(log-normal scales, LKJ(eta) correlation) by random-walk Metropolis.
+other node.  It uses no rng: a year's draws come only on request
+(PosteriorSamples.draws), and no stage reads them.  Stage 2 compresses
+each posterior to its exact mean vector and fits a correlated Gaussian
+random walk to the year-to-year increments (log-normal scales, LKJ(eta)
+correlation) by random-walk Metropolis.
 Stage 3 pushes the last fitted state one step forward to get a predictive
 cloud for next year's (volume, ratio) pairs.
 

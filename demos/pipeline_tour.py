@@ -104,9 +104,9 @@ def main() -> None:
 
     print("\n%-6s %8s %8s %8s %8s %10s" % ("lang", "f_ot", "f_rt", "ratio", "gain_db", "appetite"))
     for lang in sorted(whole.languages()):
-        cells = whole.cells(lang)  # (date, f_ot, f_rt)
-        f_ot = sum(c[1] for c in cells)
-        f_rt = sum(c[2] for c in cells)
+        counts = [c for _, c in whole.day_counts(lang)]  # (f_ot, f_rt) per day
+        f_ot = sum(c[0] for c in counts)
+        f_rt = sum(c[1] for c in counts)
         ratio = metrics.contagion_ratio(f_ot, f_rt)
         gain = metrics.gain(f_ot, f_rt)
         appetite = RETWEET_APPETITE.get(lang)

@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     sampler = SamplerConfig
     p.add_argument("--seed", type=int, default=sampler.seed, help="rng seed (default: %(default)s)")
-    p.add_argument("--chains", type=int, default=sampler.chains, help="random-walk MCMC chains; each year's grid posterior also gives chains x draws draws (default: %(default)s)")
+    p.add_argument("--chains", type=int, default=sampler.chains, help="random-walk MCMC chains (default: %(default)s)")
     p.add_argument("--warmup", type=int, default=sampler.warmup, help="adaptation iterations per random-walk chain; the per-year fit has none (default: %(default)s)")
     p.add_argument("--draws", type=int, default=sampler.draws, help="kept iterations per random-walk chain (default: %(default)s)")
     p.add_argument("--eta", type=float, default=sampler.eta, help="LKJ concentration (default: %(default)s)")

@@ -30,8 +30,9 @@ A coarse pass finds each block's box from the prior and the data; a
 40-node pass then gives the means and sds.  Posterior mass near a box
 edge widens the box, and a year whose mass stays at the edge is an
 error.  A self-check compares the means on every other node with the
-means on all nodes.  Draws, for the tools that read them, pick a cell
-by weight, jitter uniformly inside it, and draw b from its conditional.
+means on all nodes.  Stage 1 uses no rng; draws come on request
+(PosteriorSamples.draws): they pick a cell by weight, jitter uniformly
+inside it, and draw b from its conditional.
 
 Stage 2: collapse each year's posterior to its mean vector
 z_t = (mu, tau, alpha, beta0, beta1, b) ("pseudo-observations") and fit
@@ -79,7 +80,6 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # spawn_key stage tags keeping every pipeline phase on its own rng stream
-_STAGE_YEARS = 999961
 _STAGE_WALK = 999983
 _STAGE_FORECAST = 999979
 
@@ -510,45 +510,45 @@ def _cell_draws(
 
 @dataclass(frozen=True)
 class PosteriorSamples:
-    """One year's exact posterior means and sds, and draws from its grid.
+    """One year's exact posterior means and sds, and what its draws need.
 
     self_check is the largest |mean on every other node - mean on all
-    nodes| over the six parameters, in posterior sds.
+    nodes| over the six parameters, in posterior sds.  columns is the
+    year's (x, r), and nodes the grids' nodes per axis.
     """
 
     year: int
     mean: Dict[str, float]
     sd: Dict[str, float]
-    draws: Dict[str, np.ndarray]
     self_check: float
-
-    def __post_init__(self) -> None:
-        sizes = {v.shape for v in self.draws.values()}
-        if len(sizes) != 1:
-            raise ValueError("draw arrays must share one length")
-        if np.any(self.draws["tau"] <= 0) or np.any(self.draws["b"] <= 0):
-            raise ValueError("tau and b draws must be positive")
-        if self.size < 1000:
-            raise ValueError("need at least 1000 post-warmup draws")
-
-    @property
-    def size(self) -> int:
-        return int(next(iter(self.draws.values())).shape[0])
+    columns: Tuple[np.ndarray, np.ndarray]
+    nodes: int
 
     def mean_state(self) -> GlmState:
         return GlmState(*(self.mean[k] for k in PARAM_NAMES))
 
+    def draws(self, rng: np.random.Generator, size: int) -> Dict[str, np.ndarray]:
+        """size draws per parameter from the year's grids, rebuilt rather than kept:
+        a cell by weight, a uniform point inside it, and b from its conditional."""
+        if size < 1000:
+            raise ValueError("need at least 1000 post-warmup draws")
+        x, r = self.columns
+        mean = _volume_stats(x)[1]
+        mu, lam, log_tau = _cell_draws(rng, *_volume_posterior(x, self.nodes), size)
+        c, beta1 = _cell_draws(rng, *_regression_posterior(x, r, mean, self.nodes)[:2], size)
+        abs_sums = _regression_abs_sums(x, r, mean, c, beta1)
+        return {
+            "mu": mu,
+            "tau": np.exp(log_tau),
+            "alpha": lam * np.exp(-0.5 * log_tau),
+            "beta0": c - mean * beta1,
+            "beta1": beta1,
+            "b": (1.0 + abs_sums) / rng.gamma(6.0 + x.size, size=size),
+        }
 
-def _stage_rng(seed: int, stage: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stage,))
-    )
 
-
-def _fit_year(
-    obs: YearObservations, rng: np.random.Generator, size: int, nodes: int = _FINE_NODES
-) -> PosteriorSamples:
-    """One year's posterior on grids of `nodes` per axis, with size draws from rng."""
+def _fit_year(obs: YearObservations, nodes: int = _FINE_NODES) -> PosteriorSamples:
+    """One year's posterior on grids of `nodes` per axis."""
     x, r = obs.columns
     mean = _volume_stats(x)[1]
     try:
@@ -567,25 +567,13 @@ def _fit_year(
             "year %d: grid self-check: means on every other node differ by %.3g sd "
             "(bound %g)" % (obs.year, self_check, SELF_CHECK_BOUND)
         )
-
-    mu, lam, log_tau = _cell_draws(rng, *volume, size)
-    c, beta1 = _cell_draws(rng, *regression[:2], size)
-    abs_sums = _regression_abs_sums(x, r, mean, c, beta1)
-    b = (1.0 + abs_sums) / rng.gamma(6.0 + x.size, size=size)
-    draws = {
-        "mu": mu,
-        "tau": np.exp(log_tau),
-        "alpha": lam * np.exp(-0.5 * log_tau),
-        "beta0": c - mean * beta1,
-        "beta1": beta1,
-        "b": b,
-    }
     return PosteriorSamples(
         year=obs.year,
         mean={k: m for k, (m, _) in moments.items()},
         sd={k: sd for k, (_, sd) in moments.items()},
-        draws=draws,
         self_check=self_check,
+        columns=(x, r),
+        nodes=nodes,
     )
 
 
@@ -594,19 +582,23 @@ def sample_posterior(
 ) -> Tuple[PosteriorSamples, ...]:
     """Every year's exact posterior; one PosteriorSamples per year, in order.
 
-    The means and sds come from the grids and do not depend on the
-    seed; the chains x draws draws of each year do, and all years draw
-    from one stream in turn.  A year whose posterior mass stays at a
-    grid edge, or whose self-check exceeds SELF_CHECK_BOUND, raises
-    ValueError naming the year.
+    Stage 1 is a deterministic function of the data: it reads nothing
+    from config, which only keeps the signature every stage shares.
+    Draws come on request, from PosteriorSamples.draws.  A year whose
+    posterior mass stays at a grid edge, or whose self-check exceeds
+    SELF_CHECK_BOUND, raises ValueError naming the year.
     """
-    rng = _stage_rng(config.seed, _STAGE_YEARS)
-    size = config.chains * config.draws
-    return tuple(_fit_year(obs, rng, size) for obs in observations)
+    return tuple(_fit_year(obs) for obs in observations)
 
 
 # ---------------------------------------------------------------------------
 # sampler core
+
+
+def _stage_rng(seed: int, stage: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stage,))
+    )
 
 
 def _refresh_shapes(
@@ -940,7 +932,12 @@ def forecast_pipeline(
     pseudo-observations, walk posterior summaries and forecast quantiles.
     """
     observations = observations_from_rows(rows)
-    observations = tuple(o for o in observations if o.points)
+    # years without a usable point drop off either end; inside the span they are an error
+    usable = [i for i, o in enumerate(observations) if o.points]
+    observations = observations[usable[0] : usable[-1] + 1] if usable else ()
+    for o in observations:
+        if not o.points:
+            raise ValueError("year %d: no points with ratio in (0, 1)" % o.year)
     if len(observations) < 3:
         raise ValueError("need at least 3 years with usable observations")
     years = [o.year for o in observations]

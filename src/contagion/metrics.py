@@ -106,7 +106,8 @@ def daily_series(
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
     return tuple(
-        (date, _daily_metric(f_ot, f_rt, metric)) for date, f_ot, f_rt in store.cells(language)
+        (date, _daily_metric(f_ot, f_rt, metric))
+        for date, (f_ot, f_rt) in store.day_counts(language)
     )
 
 
@@ -174,7 +175,7 @@ def rank_table(
     start, end = period
     totals: dict[str, int] = {}
     for lang in store.languages():
-        for date, f_ot, f_rt in store.cells(lang):
+        for date, (f_ot, f_rt) in store.day_counts(lang):
             if (start is None or date >= start) and (end is None or date <= end):
                 totals[lang] = totals.get(lang, 0) + f_ot + f_rt
     ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))

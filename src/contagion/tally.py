@@ -40,7 +40,6 @@ MAX_COUNT = 2**53
 
 DailyPoint = Tuple[dt.date, Optional[float]]
 Counts = Tuple[int, int]  # (f_ot, f_rt)
-Cell = Tuple[dt.date, int, int]
 Row = Tuple[dt.date, str, int, int]
 Reducer = Callable[[list], Any]
 
@@ -143,14 +142,11 @@ class TallyStore:
         """This language's cells only, as (date, (f_ot, f_rt)) pairs sorted by date."""
         return sorted(self.entries.get(language, {}).items())
 
-    def cells(self, language: str) -> list[Cell]:
-        """This language's cells only, as plain (date, f_ot, f_rt) tuples sorted by date."""
-        return [(date, f_ot, f_rt) for date, (f_ot, f_rt) in self.day_counts(language)]
-
     def daily_counts(self, language: str) -> Tuple[DayTally, ...]:
         """This language's cells only, as DayTally records sorted by date."""
         return tuple(
-            DayTally(date, language, f_ot, f_rt) for date, f_ot, f_rt in self.cells(language)
+            DayTally(date, language, f_ot, f_rt)
+            for date, (f_ot, f_rt) in self.day_counts(language)
         )
 
 

@@ -292,10 +292,11 @@ def test_criterion_7b_lkj_offdiagonal_ks():
 def test_criterion_7c_synthetic_recovery_beta1():
     result = _trend_pipeline()
     assert len(result.fits) == len(TREND_YEARS) == 11
+    rng = np.random.default_rng(5)
     for fit in result.fits:
         truth = trend_truth(fit.year)["beta1"]
-        mean = float(np.mean(fit.draws["beta1"]))
-        sd = float(np.std(fit.draws["beta1"]))
+        draws = fit.draws(rng, 2000)["beta1"]
+        mean, sd = float(np.mean(draws)), float(np.std(draws))
         assert abs(mean - truth) <= 3 * sd, (
             "year %d: beta1 mean %.4f vs truth %.4f (sd %.4f)"
             % (fit.year, mean, truth, sd)

@@ -92,6 +92,16 @@ def test_golden_compare_csv(tmp_path):
     assert out.read_bytes() == (GOLDEN / "confusion.csv").read_bytes()
 
 
+def test_golden_forecast(tmp_path):
+    # the summary and the walk's forecast cloud, at the benchmark's sampler settings
+    out, draws = tmp_path / "forecast.json", tmp_path / "draws.csv"
+    assert run("forecast", "--in", GLM_INPUT, "--seed", "7", "--chains", "4",
+               "--warmup", "1000", "--draws", "250", "--out", str(out),
+               "--draws-out", str(draws)) == 0
+    assert out.read_bytes() == (GOLDEN / "forecast_2009_2019.json").read_bytes()
+    assert draws.read_bytes() == (GOLDEN / "forecast_2009_2019_draws.csv").read_bytes()
+
+
 # -- ingest variants ----------------------------------------------------------
 
 
@@ -670,7 +680,7 @@ def test_forecast_year_at_the_log10_n_bound_gets_its_exact_posterior(tmp_path, c
     assert far["self_check"] <= forecast.SELF_CHECK_BOUND
     rows = [r for r in cli._read_glm_rows(str(_far_volume_input(tmp_path))) if r[0] == 2010]
     obs = forecast.observations_from_rows(rows)[0]
-    finer = forecast._fit_year(obs, np.random.default_rng(0), 1000, nodes=80)
+    finer = forecast._fit_year(obs, nodes=80)
     for k in forecast.PARAM_NAMES:
         assert abs(far["posterior_mean"][k] - finer.mean[k]) <= 0.01 * finer.sd[k], k
     mean, sd = far["posterior_mean"], far["posterior_sd"]
@@ -692,6 +702,41 @@ def test_forecast_unknown_language_fails(tmp_path, capsys):
     assert run("forecast", "--in", GLM_INPUT, "--language", "xx",
                "--out", str(tmp_path / "f.json")) == 1
     assert "no rows" in capsys.readouterr().err
+
+
+def _fixture_with_ratios_of(tmp_path, years, ratio):
+    """The fixture's 2009-2013, with every ratio of the given years set to ratio."""
+    with open(GLM_INPUT, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    kept = []
+    for line in lines:
+        year, lang, log10_n, _ = line.split(",")
+        if int(year) <= 2013:
+            kept.append(",".join((year, lang, log10_n, ratio)) if int(year) in years else line)
+    path = tmp_path / "ratios.csv"
+    path.write_text("\n".join([header] + kept) + "\n")
+    return path
+
+
+def test_forecast_year_inside_the_span_without_usable_points_exits_1(tmp_path, capsys):
+    # every 2011 ratio is >= 1: the year is named, not reported as a gap
+    out = tmp_path / "f.json"
+    for ratio in ("1.0", "1.5"):
+        path = _fixture_with_ratios_of(tmp_path, {2011}, ratio)
+        assert run("forecast", "--in", str(path), "--chains", "1", "--warmup", "100",
+                   "--draws", "1000", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: year 2011: no points with ratio in (0, 1)\n"
+        assert not out.exists()
+
+
+def test_forecast_drops_leading_and_trailing_years_without_usable_points(tmp_path):
+    out = tmp_path / "f.json"
+    path = _fixture_with_ratios_of(tmp_path, {2009, 2013}, "2.0")
+    assert run("forecast", "--in", str(path), "--chains", "1", "--warmup", "100",
+               "--draws", "1000", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert [e["year"] for e in doc["per_year"]] == [2010, 2011, 2012]
+    assert doc["forecast"]["year"] == 2013
 
 
 # -- classifier commands --------------------------------------------------------

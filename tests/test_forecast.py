@@ -9,6 +9,8 @@ lives here too: the library computes each year's posterior on grids of
 two reduced blocks, and the tests check those blocks against it.
 """
 
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,7 +31,6 @@ from scipy.special import log_ndtr
 from contagion import forecast
 from contagion.forecast import (
     GlmState,
-    PosteriorSamples,
     SamplerConfig,
     WalkPosterior,
     YearObservations,
@@ -555,8 +556,7 @@ def test_grid_means_agree_with_a_twice_finer_grid(glm_input_csv, which):
     else:
         observations = (_synthetic_year(500),)
     for obs in observations:
-        fits = [forecast._fit_year(obs, np.random.default_rng(0), 1000, nodes=nodes)
-                for nodes in (40, 80)]
+        fits = [forecast._fit_year(obs, nodes=nodes) for nodes in (40, 80)]
         for k in forecast.PARAM_NAMES:
             coarse, fine = (fit.mean[k] for fit in fits)
             assert abs(coarse - fine) <= 2e-3 * fits[1].sd[k], (obs.year, k)
@@ -608,44 +608,41 @@ def test_sampler_config_validation():
         SamplerConfig(draws=0)
     with pytest.raises(ValueError):
         SamplerConfig(eta=0.0)
-    # PosteriorSamples needs 1000 draws per year; fail before sampling
+    # the walk's forecast cloud is its chains x draws states: it needs 1000
+    # of them, and fails before sampling
     with pytest.raises(ValueError, match="need at least 1000 post-warmup draws"):
         SamplerConfig(chains=3, draws=333)
     assert SamplerConfig(chains=1, draws=1000).draws == 1000
 
 
-def _posterior(year=2019, n=1000, value=1.0):
-    draws = {k: np.full(n, value) for k in forecast.PARAM_NAMES}
-    means = {k: value for k in forecast.PARAM_NAMES}
-    sds = {k: 0.0 for k in forecast.PARAM_NAMES}
-    return PosteriorSamples(year=year, mean=means, sd=sds, draws=draws, self_check=0.0)
+def _posterior(year=2019, value=1.0):
+    """The empty year's fit, relabelled, with every mean and sd set to value."""
+    same = {k: value for k in forecast.PARAM_NAMES}
+    return dataclasses.replace(_prior_fit(), year=year, mean=same, sd=same)
+
+
+@functools.lru_cache(maxsize=1)
+def _prior_fit():
+    return forecast._fit_year(YearObservations(2019, ()))
 
 
 def test_posterior_samples_validation():
-    with pytest.raises(ValueError, match="1000"):
-        _posterior(n=999)
-    bad = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
-    bad["tau"] = np.full(1000, -1.0)
-    ones = {k: 1.0 for k in forecast.PARAM_NAMES}
-    with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, mean=ones, sd=ones, draws=bad, self_check=0.0)
-    uneven = {k: np.full(1000, 1.0) for k in forecast.PARAM_NAMES}
-    uneven["mu"] = np.full(1001, 1.0)
-    with pytest.raises(ValueError):
-        PosteriorSamples(year=2019, mean=ones, sd=ones, draws=uneven, self_check=0.0)
+    fit = forecast._fit_year(_synthetic_year(50))
+    with pytest.raises(ValueError, match="^need at least 1000 post-warmup draws$"):
+        fit.draws(np.random.default_rng(0), 999)
+    draws = fit.draws(np.random.default_rng(0), 1000)
+    assert set(draws) == set(forecast.PARAM_NAMES)
+    assert {v.shape for v in draws.values()} == {(1000,)}
+    assert np.all(draws["tau"] > 0) and np.all(draws["b"] > 0)
 
 
 def test_pseudo_observations_mean_and_order():
     degenerate = _posterior(2018, value=2.5)
     assert degenerate.mean_state() == GlmState(2.5, 2.5, 2.5, 2.5, 2.5, 2.5)
-    # the state is the exact posterior mean the grid gives, not the draws' mean
-    halves = {k: np.concatenate([np.zeros(500), np.full(500, 2.0)])
-              for k in forecast.PARAM_NAMES}
-    halves["tau"] = np.abs(halves["tau"]) + 0.5  # stay positive
-    halves["b"] = np.abs(halves["b"]) + 0.5
-    means = {k: 0.75 for k in forecast.PARAM_NAMES}
-    mixed = PosteriorSamples(year=2019, mean=means, sd=means, draws=halves, self_check=0.0)
+    # the state is the posterior mean the fit carries, not its draws' mean
+    mixed = _posterior(2019, value=0.75)
     assert mixed.mean_state().mu == 0.75
+    assert float(np.mean(mixed.draws(np.random.default_rng(0), 1000)["mu"])) != 0.75
     pseudo = forecast.pseudo_observations([degenerate, mixed])
     assert pseudo[0] == degenerate.mean_state()
     with pytest.raises(ValueError):
@@ -660,20 +657,31 @@ def test_sample_posterior_deterministic():
     cfg = SamplerConfig(seed=3, chains=1, warmup=200, draws=1000)
     (a,) = forecast.sample_posterior((obs,), cfg)
     (b,) = forecast.sample_posterior((obs,), cfg)
+    a_draws, b_draws = (fit.draws(np.random.default_rng(3), 1000) for fit in (a, b))
     for k in forecast.PARAM_NAMES:
-        assert np.array_equal(a.draws[k], b.draws[k])
+        assert np.array_equal(a_draws[k], b_draws[k])
     assert (a.mean, a.sd, a.self_check) == (b.mean, b.sd, b.self_check)
-    # the means and sds come from the grid: another seed moves only the draws
-    (c,) = forecast.sample_posterior((obs,), SamplerConfig(seed=4, chains=1, draws=1000))
-    assert (c.mean, c.sd) == (a.mean, a.sd)
-    assert not np.array_equal(c.draws["mu"], a.draws["mu"])
+    # the means and sds come from the grid: another rng moves only the draws
+    c_draws = a.draws(np.random.default_rng(4), 1000)
+    assert not np.array_equal(c_draws["mu"], a_draws["mu"])
+
+
+def test_sample_posterior_reads_nothing_from_the_config():
+    observations = (_synthetic_year(50), YearObservations(2020, ()))
+    one, other = (
+        forecast.sample_posterior(observations, cfg)
+        for cfg in (SamplerConfig(seed=1, chains=1, draws=1000),
+                    SamplerConfig(seed=2, chains=4, warmup=10, draws=2500))
+    )
+    for a, b in zip(one, other):
+        assert (a.year, a.mean, a.sd, a.self_check) == (b.year, b.mean, b.sd, b.self_check)
 
 
 def test_sample_posterior_prior_dominance():
     obs = forecast.year_observations(2019, [(5.0, 0.5)])
     cfg = SamplerConfig(seed=4, chains=2, warmup=1000, draws=1000)
     (out,) = forecast.sample_posterior((obs,), cfg)
-    assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
+    assert abs(float(np.mean(out.draws(np.random.default_rng(4), 2000)["mu"])) - 5.0) < 0.5
     assert abs(out.mean["mu"] - 5.0) < 0.5
 
 
@@ -690,8 +698,9 @@ def test_sample_posterior_without_points_samples_prior():
     for k in forecast.PARAM_NAMES:
         assert out.mean[k] == pytest.approx(prior_mean[k], abs=1e-3 * prior_sd[k]), k
         assert out.sd[k] == pytest.approx(prior_sd[k], rel=1e-3), k
-    assert abs(float(np.mean(out.draws["mu"])) - 5.0) < 0.5
-    assert float(np.mean(other.draws["mu"])) < 4.0
+    rng = np.random.default_rng(5)
+    assert abs(float(np.mean(out.draws(rng, 2000)["mu"])) - 5.0) < 0.5
+    assert float(np.mean(other.draws(rng, 2000)["mu"])) < 4.0
 
 
 def _synthetic_year(n):
@@ -713,8 +722,8 @@ def test_sample_posterior_synthetic_recovery():
     truth = _state()
     cfg = SamplerConfig(seed=1, chains=2, warmup=2000, draws=1000)
     (out,) = forecast.sample_posterior((_synthetic_year(500),), cfg)
-    mean = float(np.mean(out.draws["beta1"]))
-    sd = float(np.std(out.draws["beta1"]))
+    draws = out.draws(np.random.default_rng(1), 2000)["beta1"]
+    mean, sd = float(np.mean(draws)), float(np.std(draws))
     assert abs(mean - truth.beta1) <= 3 * sd
     assert abs(out.mean["beta1"] - truth.beta1) <= 3 * out.sd["beta1"]
     assert out.self_check <= forecast.SELF_CHECK_BOUND
@@ -725,8 +734,9 @@ def test_draws_follow_the_grid_posterior():
     # standard errors of the exact means, their sds within 5%
     (out,) = forecast.sample_posterior(
         (_synthetic_year(150),), SamplerConfig(seed=2, chains=4, draws=2500))
+    every = out.draws(np.random.default_rng(2), 10_000)
     for k in forecast.PARAM_NAMES:
-        draws = out.draws[k]
+        draws = every[k]
         assert abs(float(np.mean(draws)) - out.mean[k]) <= 4 * out.sd[k] / math.sqrt(draws.size), k
         assert float(np.std(draws)) == pytest.approx(out.sd[k], rel=0.05), k
 

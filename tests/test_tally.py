@@ -430,7 +430,9 @@ def test_rows_are_the_per_language_views_merged(store):
     for lang in store.languages():
         dates = [cell.date for cell in store.daily_counts(lang)]
         assert dates == sorted(set(dates))
-        assert store.cells(lang) == [(c.date, c.f_ot, c.f_rt) for c in store.daily_counts(lang)]
+        assert store.day_counts(lang) == [
+            (c.date, (c.f_ot, c.f_rt)) for c in store.daily_counts(lang)
+        ]
     rows = store.rows()
     assert rows == sorted((c.date, c.language, c.f_ot, c.f_rt) for c in views)
     assert len(store) == len(rows)

@@ -224,21 +224,22 @@ def _read_glm_rows(path: str) -> List[tuple]:
         header = next(reader, None)
         if header is None or tuple(header) != GLM_INPUT_HEADER:
             raise CliError("expected header %s" % ",".join(GLM_INPUT_HEADER))
-        for lineno, row in enumerate(reader, start=2):
+        # errors name reader.line_num, the physical line: a quoted field may span lines
+        for row in reader:
             if not row:
                 continue
             if len(row) != 4:
-                raise CliError("line %d: expected 4 fields" % lineno)
+                raise CliError("line %d: expected 4 fields" % reader.line_num)
             try:
                 year, log10_n, ratio = int(row[0]), float(row[2]), float(row[3])
             except ValueError:
-                raise CliError("line %d: bad numeric field" % lineno) from None
+                raise CliError("line %d: bad numeric field" % reader.line_num) from None
             if not (math.isfinite(log10_n) and math.isfinite(ratio)):
-                raise CliError("line %d: non-finite numeric field" % lineno)
+                raise CliError("line %d: non-finite numeric field" % reader.line_num)
             if abs(log10_n) > MAX_ABS_LOG10_N:
                 raise CliError(
                     "line %d: log10_n %r outside [-%g, %g]"
-                    % (lineno, log10_n, MAX_ABS_LOG10_N, MAX_ABS_LOG10_N)
+                    % (reader.line_num, log10_n, MAX_ABS_LOG10_N, MAX_ABS_LOG10_N)
                 )
             rows.append((year, row[1], log10_n, ratio))
     return rows

@@ -10,6 +10,11 @@ Scoring runs on a dense copy of the model, built on first use: a
 ``(vocab + 1, languages)`` log-likelihood matrix whose last row is the
 unseen slot, so each distinct gram of a message costs one vocabulary
 lookup whatever the number of languages.
+
+Grams are enumerated run by run: each n-gram extends the (n-1)-gram at
+the same position by one character, and a text's grams come first-seen
+in order of n, then of position. Training counts in that order, and the
+dense scorer sums a text's grams in that order.
 """
 from __future__ import annotations
 
@@ -18,6 +23,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
@@ -113,11 +120,23 @@ class NgramModel:
         return index, matrix, priors
 
 
-def _grams(text: str, n_lo: int, n_hi: int) -> Counter:
-    counts: Counter = Counter()
-    size = len(text)
-    for n in range(n_lo, n_hi + 1):
-        counts.update([text[i : i + n] for i in range(size - n + 1)])
+def _grams(text: str, n_lo: int, n_hi: int, counts: Optional[Counter] = None) -> Counter:
+    """Count the n-grams of text, n_lo <= n <= n_hi, into counts (default: a new Counter).
+
+    Run n is run n-1 with each gram extended by the character after it, so
+    no gram is sliced from the text; grams come first-seen by n, then by
+    position.
+    """
+    if counts is None:
+        counts = Counter()
+    run = text  # the 1-grams
+    for n in range(1, min(n_hi, len(text)) + 1):  # a model file may set any n_hi
+        if n > 1:
+            run = map(add, run, text[n - 1 :])
+            if n < n_hi:  # the next run extends this one
+                run = list(run)
+        if n >= n_lo:
+            counts.update(run)
     return counts
 
 
@@ -134,8 +153,7 @@ def count_grams(corpus: Iterable[tuple[str, str]], n_range: tuple[int, int] = (1
         lang = lang.strip().lower()
         if not _LANG_RE.fullmatch(lang):
             raise ValueError("invalid training language code: %r" % (lang,))
-        cleaned = sanitize(text).text
-        gram_counts.setdefault(lang, Counter()).update(_grams(cleaned, n_lo, n_hi))
+        _grams(sanitize(text).text, n_lo, n_hi, gram_counts.setdefault(lang, Counter()))
         example_counts[lang] += 1
     return gram_counts, example_counts
 
@@ -212,12 +230,14 @@ def classify(model: NgramModel, text: Union[str, SanitizedText]) -> LidPredictio
     import numpy as np
 
     index, matrix, priors = model.dense
-    unseen_row = len(index)
-    rows = matrix[[index.get(gram, unseen_row) for gram in grams]]
-    rows *= np.fromiter(grams.values(), dtype=float, count=len(grams))[:, None]
-    # cumsum adds row after row: the same float additions, in the same
+    size = len(grams)
+    rows = matrix[np.fromiter(map(index.get, grams, repeat(len(index))), np.intp, size)]
+    rows *= np.fromiter(grams.values(), float, size)[:, None]
+    # cumsum adds row after row: with the priors in the first row (float
+    # addition commutes) these are the same float additions, in the same
     # order, as prior + count * log_lik summed gram by gram
-    scores = np.cumsum(np.vstack((priors, rows)), axis=0)[-1].tolist()
+    rows[0] += priors
+    scores = rows.cumsum(axis=0)[-1].tolist()
     best_score = max(scores)
     best_lang = model.languages[scores.index(best_score)]  # first (smallest) code wins ties
     lse = best_score + math.log(sum(math.exp(s - best_score) for s in scores))

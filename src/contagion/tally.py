@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -225,11 +225,12 @@ def load_csv(fh: TextIO) -> TallyStore:
     store = TallyStore()
     entries = store.entries  # written in place: add_counts per row costs a call
     dates: dict[str, dt.date] = {}  # every language repeats each day's string
-    for lineno, row in enumerate(reader, start=2):
+    # errors name reader.line_num, the physical line: a quoted field may span lines
+    for row in reader:
         if not row:
             continue
         if len(row) != 4:
-            raise ValueError("line %d: expected 4 fields, got %d" % (lineno, len(row)))
+            raise ValueError("line %d: expected 4 fields, got %d" % (reader.line_num, len(row)))
         day, language, ot, rt = row
         try:
             date = dates.get(day)
@@ -240,10 +241,10 @@ def load_csv(fh: TextIO) -> TallyStore:
                 dates[day] = date
             f_ot, f_rt = _count(ot), _count(rt)
         except ValueError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
+            raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
         if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):
             problem = "negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53"
-            raise ValueError("line %d: %s" % (lineno, problem))
+            raise ValueError("line %d: %s" % (reader.line_num, problem))
         if f_ot or f_rt:  # as add_counts: a (0, 0) row stores nothing
             days = entries.get(language)
             if days is None:
@@ -368,16 +369,15 @@ def rolling_mean(series: Sequence[DailyPoint], window_days: int) -> Tuple[DailyP
         return ()
     dates = _increasing_dates(series)
 
-    # values[i] is day first + i, so each window is one slice, read newest
-    # day first: fsum rounds exactly, but its intermediate-overflow error
+    # each window is one slice of the defined values, read newest day
+    # first: fsum rounds exactly, but its intermediate-overflow error
     # depends on the order of the summands
-    first = dates[0].toordinal()
-    values: list[Optional[float]] = [None] * (dates[-1].toordinal() - first + 1)
-    for day, value in series:
-        values[day.toordinal() - first] = value
+    days = [day.toordinal() for day, value in series if value is not None]
+    values = [value for _, value in series if value is not None]
     out = []
-    for i in range(len(values)):
-        lo = max(0, i - window_days + 1)
-        window = [v for v in reversed(values[lo : i + 1]) if v is not None]
-        out.append((dt.date.fromordinal(first + i), _mean(window) if window else None))
+    for ordinal in range(dates[0].toordinal(), dates[-1].toordinal() + 1):
+        end = bisect_right(days, ordinal)
+        window = values[bisect_right(days, ordinal - window_days, 0, end) : end]
+        window.reverse()
+        out.append((dt.date.fromordinal(ordinal), _mean(window) if window else None))
     return tuple(out)

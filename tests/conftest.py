@@ -1,17 +1,20 @@
 """Shared fixtures: paths, the synthetic trend used by the forecast tests,
 the one-density-per-function references and closed forms those tests
-check the sampler against, arbitrary tally stores, and the dict-based
-rebucket and rolling mean the calendar tests check against."""
+check the sampler against, arbitrary tally stores, the dict-based
+rebucket and rolling mean the calendar tests check against, and the
+slice-per-position gram count and stacked scorer the classifier is
+checked against."""
 
 import datetime as dt
 import math
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import strategies as hs
 
-from contagion import forecast, tally
+from contagion import forecast, lid, tally
 from contagion.ingest import OT, RT
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -271,3 +274,37 @@ def reference_rolling_mean(series, window_days: int):
         ]
         out.append((day, math.fsum(window) / len(window) if window else None))
     return tuple(out)
+
+
+# -- language identification references ------------------------------------------
+
+
+def reference_grams(text: str, n_lo: int, n_hi: int) -> Counter:
+    """lid._grams as first written: every gram sliced from the text, one
+    list per n counted by Counter.update."""
+    counts: Counter = Counter()
+    size = len(text)
+    for n in range(n_lo, n_hi + 1):
+        counts.update([text[i : i + n] for i in range(size - n + 1)])
+    return counts
+
+
+def reference_classify(model, text: str):
+    """lid.classify's dense scorer as first written: a list of row indices,
+    then the priors stacked on the count-weighted rows and summed by cumsum."""
+    if not text:
+        return lid.LidPrediction(lid.UND, 0.0, "und")
+    grams = reference_grams(text, model.n_lo, model.n_hi)
+    if not grams:
+        return lid.LidPrediction(lid.UND, 0.0, "und")
+    index, matrix, priors = model.dense
+    unseen_row = len(index)
+    rows = matrix[[index.get(gram, unseen_row) for gram in grams]]
+    rows *= np.fromiter(grams.values(), dtype=float, count=len(grams))[:, None]
+    scores = np.cumsum(np.vstack((priors, rows)), axis=0)[-1].tolist()
+    best_score = max(scores)
+    best_lang = model.languages[scores.index(best_score)]
+    lse = best_score + math.log(sum(math.exp(s - best_score) for s in scores))
+    confidence = math.exp(best_score - lse)
+    language = best_lang if confidence >= lid.UND_THRESHOLD else lid.UND
+    return lid.LidPrediction(language, confidence, lid.bucket_confidence(confidence))

@@ -616,7 +616,8 @@ def _fresh_python(script, *args):
 def test_cli_import_does_not_load_scipy(tmp_path):
     # numpy, scipy and the forecast and compare layers load in the commands
     # that compute with them: not at start-up, nor in ingest --lid external
-    # or either metric path (the GLM table and a bucketed series)
+    # or either metric path (the GLM table and a bucketed series), nor in
+    # training the default classifier (its dense matrix waits for classify)
     script = _LOADED + """
 print(loaded())
 assert cli.main(["ingest", "--lid", "external", "--in", sys.argv[1], "--out", sys.argv[3]]) == 0
@@ -624,12 +625,15 @@ assert cli.main(["metric", "--metric", "glm-input", "--in", sys.argv[2], "--out"
 assert cli.main(["metric", "--metric", "ratio", "--resolution", "month",
                  "--in", sys.argv[2], "--out", sys.argv[5]]) == 0
 print(loaded())
+from contagion import lid
+lid.default_model()
+print(loaded())
 import contagion
 print(contagion.compare.__name__)  # submodules still load on attribute access
 """
     out = _fresh_python(script, MINI, ANNUAL, str(tmp_path / "t.csv"), str(tmp_path / "g.csv"),
                         str(tmp_path / "m.csv"))
-    assert out == "[]\n[]\ncontagion.compare\n"
+    assert out == "[]\n[]\n[]\ncontagion.compare\n"
     assert (tmp_path / "m.csv").read_text().count(",ratio,") == 2 * 12
     assert (tmp_path / "t.csv").read_bytes() == (GOLDEN / "tally_external.csv").read_bytes()
 
@@ -882,6 +886,13 @@ def test_exit_code_non_finite_glm_field(tmp_path, capsys, fields):
     bad.write_text("year,language,log10_n,ratio\n2019,en,5.0,0.5\n2020,en,%s\n" % fields)
     assert run("forecast", "--in", str(bad), "--out", str(tmp_path / "f.json")) == 1
     assert "line 3: non-finite" in capsys.readouterr().err
+
+
+def test_glm_reader_errors_name_the_physical_line_after_a_multiline_field(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text('year,language,log10_n,ratio\n2019,"a\nb",5.0,0.5\n2020,en,x,0.5\n')
+    assert run("forecast", "--in", str(bad), "--out", str(tmp_path / "f.json")) == 1
+    assert capsys.readouterr().err == "error: line 4: bad numeric field\n"
 
 
 @pytest.mark.parametrize("log10_n", ["1e160", "1e200", "-400.5", "401"])

@@ -2,11 +2,13 @@
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from conftest import reference_classify, reference_grams
 from contagion import lid
 from contagion.ingest import MessageRecord
 from contagion.sanitize import sanitize
@@ -173,19 +175,11 @@ def test_classify_never_confident_label_below_threshold():
 # -- dense scoring against the scalar reference ----------------------------------
 
 
-def _grams_reference(text, n_lo, n_hi):
-    counts = Counter()
-    for n in range(n_lo, n_hi + 1):
-        for i in range(len(text) - n + 1):
-            counts[text[i : i + n]] += 1
-    return counts
-
-
 def _classify_reference(model, text):
     """The per-language scalar loop that lid.classify's dense scoring replaces."""
     if not text:
         return lid.LidPrediction(lid.UND, 0.0, "und")
-    grams = _grams_reference(text, model.n_lo, model.n_hi)
+    grams = reference_grams(text, model.n_lo, model.n_hi)
     if not grams:
         return lid.LidPrediction(lid.UND, 0.0, "und")
     best_lang = None
@@ -234,7 +228,7 @@ def test_grams_match_nested_loop_in_order():
     for text in TEXTS + ["aaaa", "the quick brown fox"]:
         for n_lo, n_hi in [(1, 1), (1, 3), (2, 2), (2, 5), (4, 4)]:
             got = lid._grams(text, n_lo, n_hi)
-            assert list(got.items()) == list(_grams_reference(text, n_lo, n_hi).items())
+            assert list(got.items()) == list(reference_grams(text, n_lo, n_hi).items())
 
 
 def test_dense_layout_rows_and_unseen_slot():
@@ -287,6 +281,51 @@ def test_dense_matches_reference_on_arbitrary_text(text):
     _assert_matches_reference(model, text)
     _assert_matches_reference(model, sanitize(text).text)
     _assert_matches_reference(SUBSET_MODEL, text)
+
+
+# lone surrogates, astral code points, CR/LF and texts shorter than n
+_ANY_TEXT = hs.one_of(
+    hs.text(alphabet=hs.characters(blacklist_categories=()), max_size=12),
+    hs.text(alphabet="ab\r\n\ud800\udfff\U0001F600\U00010348", max_size=12),
+)
+_N_RANGE = hs.lists(hs.integers(1, 5), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ANY_TEXT, n_range=_N_RANGE)
+def test_grams_match_reference_in_items_and_order(text, n_range):
+    n_lo, n_hi = n_range
+    got = lid._grams(text, n_lo, n_hi)
+    assert list(got.items()) == list(reference_grams(text, n_lo, n_hi).items())
+
+
+def test_a_model_file_n_hi_past_the_text_adds_no_runs():
+    # a model file may carry any n_hi >= n_lo; runs longer than the text are
+    # empty, so none is built (10**12 of them took forever)
+    assert list(lid._grams("abcd", 2, 10**12).items()) == list(reference_grams("abcd", 2, 4).items())
+    text = lid.dumps_model(SUBSET_MODEL)
+    wide = lid.loads_model(text.replace("n_range\t1\t2", "n_range\t1\t%d" % 10**12))
+    narrow = lid.loads_model(text.replace("n_range\t1\t2", "n_range\t1\t4"))
+    assert lid.classify(wide, "abcd") == lid.classify(narrow, "abcd")
+
+
+@lru_cache(maxsize=1)
+def _model_2_4():
+    return lid.train(lid.bundled_corpus("train"), n_range=(2, 4))
+
+
+def _bits(pred):
+    return pred.language, pred.confidence.hex(), pred.bucket
+
+
+_HELDOUT = hs.sampled_from(lid.bundled_corpus("heldout")).map(lambda pair: sanitize(pair[1]).text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=hs.one_of(_ANY_TEXT, _SCRIPTS, _HELDOUT))
+def test_classify_matches_stacked_reference_bit_for_bit(text):
+    for model in (lid.default_model(), _model_2_4()):
+        assert _bits(lid.classify(model, text)) == _bits(reference_classify(model, text))
 
 
 def test_untrained_model_is_configuration_error():

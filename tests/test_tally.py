@@ -214,6 +214,14 @@ def test_load_csv_errors_name_the_line(row, message):
     assert str(info.value) == message
 
 
+def test_load_csv_errors_name_the_physical_line_after_a_multiline_field():
+    # save_csv quotes a language holding a newline, so that row spans lines 2-3
+    text = 'date,language,f_ot,f_rt\n2019-01-01,"a\nb",1,0\n2019-01-02,en,x,0\n'
+    with pytest.raises(ValueError) as info:
+        tally.load_csv(io.StringIO(text))
+    assert str(info.value) == "line 4: invalid literal for int() with base 10: 'x'"
+
+
 def test_load_csv_sums_duplicate_rows_into_one_cell():
     text = "date,language,f_ot,f_rt\n2019-01-01,en,1,2\n2019-01-01,en,3,4\n"
     store = tally.load_csv(io.StringIO(text))

@@ -60,13 +60,13 @@ def main() -> None:
     model = lid.default_model()
     pairs = []
     for record in synthesize(args.messages, args.corrupt, args.seed):
-        for part in ingest.categorize(record):
+        for category, text in ingest.categorize(record):
             pairs.append(compare.LabeledPair(
-                day=part.day(),
-                category=part.category,
-                label_a=lid.classify(model, sanitize(part.text)).language,
-                label_b=lid.wire_label(part),
-                chars=char_count(part.text),
+                day=record.day(),
+                category=category,
+                label_a=lid.classify(model, sanitize(text)).language,
+                label_b=lid.wire_label(record),
+                chars=char_count(text),
             ))
 
     report = compare.agreement_report(pairs)

@@ -62,16 +62,17 @@ def synthesize(n: int, seed: int) -> list:
 
 
 def labeler_from(source: str):
-    """The label chooser `contagion ingest --lid SOURCE` uses."""
+    """The label chooser `contagion ingest --lid SOURCE` uses: from a record
+    and one part's text to a language code."""
     if source == "external":
-        return lid.wire_label
+        return lambda record, text: lid.wire_label(record)
     model = lid.default_model()
     from contagion.sanitize import sanitize
 
-    def label(part):
-        if source == "both" and lid.wire_label(part) != lid.UND:
-            return lid.wire_label(part)
-        return lid.classify(model, sanitize(part.text)).language
+    def label(record, text):
+        if source == "both" and lid.wire_label(record) != lid.UND:
+            return lid.wire_label(record)
+        return lid.classify(model, sanitize(text)).language
 
     return label
 

@@ -18,6 +18,7 @@ with the same inputs and seed reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -101,8 +102,8 @@ def _builtin_model(args: argparse.Namespace) -> lid.NgramModel:
     return lid.default_model()
 
 
-def _make_labeler(args: argparse.Namespace) -> Callable[[ingest.CategorizedMessage], str]:
-    """Single-label chooser for ingest.
+def _make_labeler(args: argparse.Namespace) -> Callable[[ingest.MessageRecord, str], str]:
+    """Single-label chooser for ingest, from a record and one part's text.
 
     builtin: the bundled (or --model) classifier on the sanitized text.
     external: the label carried on the record (und when absent).
@@ -111,12 +112,12 @@ def _make_labeler(args: argparse.Namespace) -> Callable[[ingest.CategorizedMessa
     source = args.lid_source
     model = _builtin_model(args) if source in ("builtin", "both") else None
 
-    def label(part: ingest.CategorizedMessage) -> str:
+    def label(record: ingest.MessageRecord, text: str) -> str:
         if source != "builtin":
-            external = lid.wire_label(part)
+            external = lid.wire_label(record)
             if source == "external" or external != lid.UND:
                 return external
-        return lid.classify(model, sanitize(part.text)).language
+        return lid.classify(model, sanitize(text)).language
 
     return label
 
@@ -157,6 +158,15 @@ def _load_store(args: argparse.Namespace) -> tally.TallyStore:
 
 
 def cmd_metric(args: argparse.Namespace) -> None:
+    if args.metric == "glm-input":
+        # the annual table covers every language-year; no flag narrows it
+        for flag, given in (
+            ("--language", args.language is not None),
+            ("--window", args.window is not None),
+            ("--resolution", args.resolution != "year"),
+        ):
+            if given:
+                raise CliError("%s does not apply to --metric glm-input" % flag)
     if args.window is not None:
         if args.window < 1:
             raise CliError("--window must be >= 1")
@@ -196,14 +206,14 @@ def cmd_compare(args: argparse.Namespace) -> None:
     pairs = []
     with open(args.input, "rb") as fh:
         for record in ingest.parse_ndjson(fh, stats=stats):
-            for part in ingest.categorize(record):
+            for category, text in ingest.categorize(record):
                 pairs.append(
                     compare_mod.LabeledPair(
-                        day=part.day(),
-                        category=part.category,
-                        label_a=lid.classify(model, sanitize(part.text)).language,
-                        label_b=lid.wire_label(part),
-                        chars=char_count(part.text),
+                        day=record.day(),
+                        category=category,
+                        label_a=lid.classify(model, sanitize(text)).language,
+                        label_b=lid.wire_label(record),
+                        chars=char_count(text),
                     )
                 )
     report = compare_mod.agreement_report(pairs)
@@ -262,11 +272,19 @@ def cmd_forecast(args: argparse.Namespace) -> None:
         points_per_draw=args.points_per_draw,
     )
     result = forecast_mod.forecast_pipeline(rows, sampler)
-    _emit(args, _json_text(result.summary))
+    # the draws first, taken back if --out then fails: a failed run leaves
+    # neither output
     if args.draws_out:
         draws = result.bundle.state_draws
         draw_rows = zip(*(draws[k].tolist() for k in forecast_mod.PARAM_NAMES))
         _atomic_write(args.draws_out, _csv_text(forecast_mod.PARAM_NAMES, draw_rows))
+    try:
+        _emit(args, _json_text(result.summary))
+    except BaseException:
+        if args.draws_out:
+            with contextlib.suppress(OSError):
+                os.unlink(args.draws_out)
+        raise
 
 
 def cmd_train_lid(args: argparse.Namespace) -> None:

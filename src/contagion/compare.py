@@ -20,11 +20,10 @@ different" and "one side abstained" both count as disagreement.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .metrics import daily_series
+from .metrics import bucket_reducer
 from .tally import TallyStore
 
 # width of the mismatch-by-length histogram, in characters
@@ -33,7 +32,7 @@ MAX_CHARS = 600
 
 @dataclass(frozen=True)
 class LabeledPair:
-    """One categorized message seen by both label sources."""
+    """One (category, text) part of a message, seen by both label sources."""
 
     day: dt.date
     category: str  # OT or RT
@@ -133,13 +132,6 @@ def mismatch_by_length(pairs: Iterable[LabeledPair]) -> LengthHistogram:
     return LengthHistogram(MAX_CHARS, tuple(bins))
 
 
-def _mean_daily_ratio(store: TallyStore, lang: str) -> Optional[float]:
-    values = [r for _, r in daily_series(store, lang) if r is not None]
-    if not values:
-        return None
-    return math.fsum(values) / len(values)
-
-
 def agreement_report(pairs: Sequence[LabeledPair]) -> AgreementReport:
     """Full four-part agreement report over a dual-labeled stream.
 
@@ -165,10 +157,12 @@ def agreement_report(pairs: Sequence[LabeledPair]) -> AgreementReport:
         if p.label_a == p.label_b:
             agree_store.add(p.day, p.label_a, p.category)
 
+    # R and R_a: the mean of a language's defined daily ratios, in date order
+    mean_daily_ratio = bucket_reducer("ratio", "mean_of_daily")
     margins = {}
     for lang in matrix.labels:
-        r_all = _mean_daily_ratio(all_store, lang)
-        r_agree = _mean_daily_ratio(agree_store, lang)
+        r_all = mean_daily_ratio([cell for _, cell in all_store.day_counts(lang)])
+        r_agree = mean_daily_ratio([cell for _, cell in agree_store.day_counts(lang)])
         delta = margin_of_error(r_all, r_agree)
         if delta is not None:
             margins[lang] = delta

@@ -42,16 +42,16 @@ component and R ~ LKJ(eta), density proportional to det(R)^(eta - 1).
 R is parameterized by its Cholesky factor L, so every proposal stays in
 the positive-definite cone, and the target carries the Jacobian
 prod_i L_ii^(5 - i) of the map from L's free entries to R.  The walk's
-likelihood sees the T increments y_t = z_t - z_{t-1} only through their
-6 x 6 scatter matrix S = sum_t y_t y_t':
+likelihood over the T increments y_t = z_t - z_{t-1} is
 
-    log L = -T/2 (6 log 2 pi + log det Sigma) - tr(Sigma^-1 S) / 2
+    log L = -T/2 (6 log 2 pi + log det Sigma) - sum_t y_t' Sigma^-1 y_t / 2
 
-(zero-mean MVN; Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3),
-so the work per chain does not grow with the number of years.  The walk
-is sampled by adaptive random-walk Metropolis, its chains in lockstep as
-the rows of one array (positive parameters proposed in log space with
-the Jacobian correction).
+(zero-mean MVN; Gelman et al., Bayesian Data Analysis, 3rd ed., ch. 3).
+Its quadratic term is computed as ||Y N||^2 over every increment, with
+Sigma^-1 = N N', so each evaluation's work grows linearly with the
+number of years.  The walk is sampled by adaptive random-walk
+Metropolis, its chains in lockstep as the rows of one array (positive
+parameters proposed in log space with the Jacobian correction).
 
 Stage 3: evolve the walk one step, draw a synthetic volume sample from
 the stepped skew-normal, push it through the stepped GLM, and report

@@ -7,7 +7,9 @@ on a UTC day in years 1-9999), ``kind`` (tweet|reply|retweet|quote),
 skipped, so that every input line is either parsed into exactly one record
 or recorded in an error counter.
 
-Records are immutable named tuples. A record's ``day()`` is the UTC date of
+Records are immutable named tuples, and ``categorize`` splits each into its
+parts, plain ``(category, text)`` pairs read beside their record: a part's
+day and wire label are its record's. A record's ``day()`` is the UTC date of
 its ``ts``: day number ``ts // 86400`` (floor division, so negative stamps
 fall on the days before 1970-01-01) counted from 1970-01-01, where each
 distinct day number becomes a ``date`` once and is then served from a
@@ -74,21 +76,6 @@ class MessageRecord(NamedTuple):
     kind: str
     text: str
     quoted_text: Optional[str] = None
-    external_label: Optional[str] = None
-    external_confidence: Optional[float] = None
-
-    def day(self) -> date:
-        return _utc_date(self.ts // 86400)
-
-
-class CategorizedMessage(NamedTuple):
-    """A single OT or RT unit produced from a message."""
-
-    id: str
-    ts: int
-    kind: str
-    text: str
-    category: str
     external_label: Optional[str] = None
     external_confidence: Optional[float] = None
 
@@ -167,22 +154,19 @@ def parse_ndjson(lines: Iterable, stats: Optional[ParseStats] = None) -> Iterato
         yield record
 
 
-def categorize(msg: MessageRecord) -> list[CategorizedMessage]:
-    """Split a message into OT/RT units.
+def categorize(msg: MessageRecord) -> list[tuple[str, str]]:
+    """Split a message into its (category, text) parts.
 
     Tweets and replies are organic (OT); retweets are retweeted content
     (RT); quotes contribute both, the comment text as OT and the quoted
-    text as RT, in that order. Quote halves get ``#c``/``#r`` id suffixes
-    and inherit the record-level external label.
+    text as RT, in that order. A part's day and wire label are its
+    record's.
     """
-    msg_id, ts, kind, text, quoted, label, conf = msg
+    kind = msg.kind
     if kind in ("tweet", "reply"):
-        return [CategorizedMessage(msg_id, ts, kind, text, OT, label, conf)]
+        return [(OT, msg.text)]
     if kind == "retweet":
-        return [CategorizedMessage(msg_id, ts, kind, text, RT, label, conf)]
+        return [(RT, msg.text)]
     if kind == "quote":
-        return [
-            CategorizedMessage(msg_id + "#c", ts, kind, text, OT, label, conf),
-            CategorizedMessage(msg_id + "#r", ts, kind, quoted or "", RT, label, conf),
-        ]
+        return [(OT, msg.text), (RT, msg.quoted_text or "")]
     raise ValueError("unknown message kind: %r" % (kind,))

@@ -140,6 +140,14 @@ def _grams(text: str, n_lo: int, n_hi: int, counts: Optional[Counter] = None) ->
     return counts
 
 
+def corpus_language(code: str) -> str:
+    """A corpus label as training and evaluation read it; ValueError if invalid."""
+    lang = code.strip().lower()
+    if not _LANG_RE.fullmatch(lang):
+        raise ValueError("invalid corpus language code: %r" % (lang,))
+    return lang
+
+
 def count_grams(corpus: Iterable[tuple[str, str]], n_range: tuple[int, int] = (1, 3)):
     """Sanitize each (language, text) pair and count its n-grams.
 
@@ -150,9 +158,7 @@ def count_grams(corpus: Iterable[tuple[str, str]], n_range: tuple[int, int] = (1
     gram_counts: dict[str, Counter] = {}
     example_counts: Counter = Counter()
     for lang, text in corpus:
-        lang = lang.strip().lower()
-        if not _LANG_RE.fullmatch(lang):
-            raise ValueError("invalid training language code: %r" % (lang,))
+        lang = corpus_language(lang)
         _grams(sanitize(text).text, n_lo, n_hi, gram_counts.setdefault(lang, Counter()))
         example_counts[lang] += 1
     return gram_counts, example_counts
@@ -401,6 +407,7 @@ def evaluate(model: NgramModel, corpus: Iterable[tuple[str, str]]) -> dict:
     total = 0
     confidence_sum = 0.0
     for lang, text in corpus:
+        lang = corpus_language(lang)
         pred = classify(model, sanitize(text))
         stats = per_language.setdefault(lang, {"n": 0, "correct": 0})
         stats["n"] += 1

@@ -21,20 +21,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .tally import RESOLUTIONS, BucketedSeries, Counts, Reducer, TallyStore, rebucket
 
-METRICS = ("ratio", "gain", "p_ot", "p_rt")
 METHODS = ("mean_of_daily", "ratio_of_sums")
 
 CONTAGION_THRESHOLD_DB = 10.0 * math.log10(2.0)
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    p_ot: float
-    p_rt: float
 
 
 @dataclass(frozen=True)
@@ -62,14 +55,6 @@ class RankTable:
         return tuple((r.rank, r.count / total) for r in self.rows)
 
 
-def rates(f_ot: int, f_rt: int) -> Optional[RatePoint]:
-    """Normalized organic / retweeted shares; None when the cell is empty."""
-    f_at = f_ot + f_rt
-    if f_at == 0:
-        return None
-    return RatePoint(f_ot / f_at, f_rt / f_at)
-
-
 def contagion_ratio(f_ot: int, f_rt: int) -> Optional[float]:
     """R = N_rt / N_ot; None when there are no organic messages."""
     if f_ot == 0:
@@ -84,15 +69,22 @@ def gain(f_ot: int, f_rt: int) -> Optional[float]:
     return 10.0 * math.log10((f_ot + f_rt) / f_ot)
 
 
-def _daily_metric(f_ot: int, f_rt: int, metric: str) -> Optional[float]:
-    if metric == "ratio":
-        return contagion_ratio(f_ot, f_rt)
-    if metric == "gain":
-        return gain(f_ot, f_rt)
-    point = rates(f_ot, f_rt)
-    if point is None:
+# metric -> its value on one (f_ot, f_rt) cell, None where undefined: the
+# one per-cell definition of each metric
+PER_CELL: dict[str, Callable[[int, int], Optional[float]]] = {
+    "ratio": contagion_ratio,
+    "gain": gain,
+    "p_ot": lambda f_ot, f_rt: f_ot / (f_ot + f_rt) if f_ot + f_rt else None,
+    "p_rt": lambda f_ot, f_rt: f_rt / (f_ot + f_rt) if f_ot + f_rt else None,
+}
+METRICS = tuple(PER_CELL)
+
+
+def rates(f_ot: int, f_rt: int) -> Optional[Tuple[float, float]]:
+    """Normalized (p_ot, p_rt) shares; None when the cell is empty."""
+    if f_ot + f_rt == 0:
         return None
-    return point.p_ot if metric == "p_ot" else point.p_rt
+    return PER_CELL["p_ot"](f_ot, f_rt), PER_CELL["p_rt"](f_ot, f_rt)
 
 
 def daily_series(
@@ -105,9 +97,9 @@ def daily_series(
     """
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
+    per_cell = PER_CELL[metric]
     return tuple(
-        (date, _daily_metric(f_ot, f_rt, metric))
-        for date, (f_ot, f_rt) in store.day_counts(language)
+        (date, per_cell(f_ot, f_rt)) for date, (f_ot, f_rt) in store.day_counts(language)
     )
 
 
@@ -131,12 +123,12 @@ def aggregate_metric(
         raise ValueError("unknown method %r" % method)
     if resolution not in RESOLUTIONS:
         raise ValueError("unknown resolution %r" % resolution)
-    return rebucket(store.day_counts(language), resolution, _bucket_reducer(metric, method))
+    return rebucket(store.day_counts(language), resolution, bucket_reducer(metric, method))
 
 
-# metric -> the defined daily values of a run of (f_ot, f_rt) cells, in
-# order: _daily_metric's formulas written out per metric, because this is
-# the per-cell loop of every bucketed read
+# metric -> the defined PER_CELL values of a run of (f_ot, f_rt) cells, in
+# order: PER_CELL's formulas written out per metric, because this is the
+# per-cell loop of every bucketed read (tests pin it to PER_CELL bit for bit)
 _DEFINED_DAILY = {
     "ratio": lambda cells: [f_rt / f_ot for f_ot, f_rt in cells if f_ot],
     "gain": lambda cells: [
@@ -147,8 +139,8 @@ _DEFINED_DAILY = {
 }
 
 
-def _bucket_reducer(metric: str, method: str) -> Reducer:
-    """rebucket reducer from one bucket's (f_ot, f_rt) cells to its metric value."""
+def bucket_reducer(metric: str, method: str) -> Reducer:
+    """Reducer from one bucket's (f_ot, f_rt) cells, in date order, to its metric value."""
     if method == "mean_of_daily":
         defined_daily = _DEFINED_DAILY[metric]
 
@@ -159,10 +151,11 @@ def _bucket_reducer(metric: str, method: str) -> Reducer:
 
         return mean_of_daily
 
+    per_cell = PER_CELL[metric]
+
     def ratio_of_sums(cells: Sequence[Counts]) -> Optional[float]:
         # exact integer sums: a float sum would round past 2**53
-        f_ot, f_rt = map(sum, zip(*cells))
-        return _daily_metric(f_ot, f_rt, metric)
+        return per_cell(*map(sum, zip(*cells)))
 
     return ratio_of_sums
 
@@ -220,7 +213,7 @@ def annual_glm_table(
     """
     if method not in METHODS:
         raise ValueError("unknown method %r" % method)
-    ratio_of = _bucket_reducer("ratio", method)
+    ratio_of = bucket_reducer("ratio", method)
 
     def year_row(cells: Sequence[Counts]) -> Optional[Tuple[float, float]]:
         # one pass per language-year gives its volume and its ratio

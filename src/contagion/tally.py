@@ -28,7 +28,7 @@ from itertools import islice
 from operator import attrgetter, ge, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO, Tuple, Union
 
-from .ingest import OT, CategorizedMessage, ParseStats, categorize, parse_ndjson
+from .ingest import OT, MessageRecord, ParseStats, categorize, parse_ndjson
 
 RESOLUTIONS = ("day", "week", "month", "quarter", "year")
 AGGREGATORS = ("mean", "sum")
@@ -150,9 +150,9 @@ class TallyStore:
         )
 
 
-def accumulate(store: TallyStore, msg: CategorizedMessage, label: str) -> TallyStore:
-    """Count one categorized message under `label` on its UTC day."""
-    store.add(msg.day(), label, msg.category)
+def accumulate(store: TallyStore, record: MessageRecord, category: str, label: str) -> TallyStore:
+    """Count one `category` part of `record` under `label` on the record's UTC day."""
+    store.add(record.day(), label, category)
     return store
 
 
@@ -173,20 +173,20 @@ def merge(a: TallyStore, b: TallyStore) -> TallyStore:
 
 def ingest_tally(
     lines: Iterable,
-    labeler: Callable[[CategorizedMessage], str],
+    labeler: Callable[[MessageRecord, str], str],
     stats: Optional[ParseStats] = None,
 ) -> TallyStore:
     """Parse an NDJSON stream, categorize, label and tally it in one pass.
 
-    `labeler` maps each categorized message to a language code; parse
+    `labeler(record, text)` maps each part of a record to a language code; parse
     errors land in the store's error counters so the conservation check
     (#input records = tallied + skipped) stays auditable.
     """
     stats = stats if stats is not None else ParseStats()
     store = TallyStore()
     for record in parse_ndjson(lines, stats=stats):
-        for part in categorize(record):
-            accumulate(store, part, labeler(part))
+        for category, text in categorize(record):
+            accumulate(store, record, category, labeler(record, text))
     for key, n in stats.errors.items():
         store.count_error(key, n)
     return store

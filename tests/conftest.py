@@ -1,9 +1,9 @@
 """Shared fixtures: paths, the synthetic trend used by the forecast tests,
 the one-density-per-function references and closed forms those tests
 check the sampler against, arbitrary tally stores, the dict-based
-rebucket and rolling mean the calendar tests check against, and the
+rebucket and rolling mean the calendar tests check against, the
 slice-per-position gram count and stacked scorer the classifier is
-checked against."""
+checked against, and the CLI surface the help-text golden pins."""
 
 import datetime as dt
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as hs
 
-from contagion import forecast, lid, tally
+from contagion import cli, forecast, lid, tally
 from contagion.ingest import OT, RT
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -308,3 +308,45 @@ def reference_classify(model, text: str):
     confidence = math.exp(best_score - lse)
     language = best_lang if confidence >= lid.UND_THRESHOLD else lid.UND
     return lid.LidPrediction(language, confidence, lid.bucket_confidence(confidence))
+
+
+# -- the CLI surface --------------------------------------------------------------
+
+
+def cli_surface() -> dict:
+    """Every subcommand's help and its actions' option strings, dest, default,
+    choices, required flag and raw help, as build_parser declares them.
+
+    Read from the parser's actions, not format_help(), whose wrapping
+    depends on the terminal width and the Python version.  Regenerate the
+    golden with
+    ``PYTHONPATH=src:tests python -c "import conftest; conftest.write_cli_surface()"``.
+    """
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: {
+            "help": helps[name],
+            "actions": [
+                {
+                    "option_strings": a.option_strings,
+                    "dest": a.dest,
+                    "default": a.default,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "required": a.required,
+                    "help": a.help,
+                }
+                for a in parser._actions
+            ],
+        }
+        for name, parser in sub.choices.items()
+    }
+
+
+CLI_SURFACE_GOLDEN = FIXTURES / "golden" / "cli_surface.json"
+
+
+def write_cli_surface() -> None:
+    import json
+
+    CLI_SURFACE_GOLDEN.write_text(json.dumps(cli_surface(), indent=2) + "\n", encoding="utf-8")

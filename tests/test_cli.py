@@ -25,7 +25,7 @@ from contagion import cli, forecast, ingest, lid, metrics, tally
 from contagion.sampler import SamplerConfig
 from contagion.sanitize import sanitize
 
-from conftest import FIXTURES, REPO, trend_rows
+from conftest import CLI_SURFACE_GOLDEN, FIXTURES, REPO, cli_surface, trend_rows
 
 GOLDEN = FIXTURES / "golden"
 MINI = str(FIXTURES / "mini.ndjson")
@@ -302,9 +302,9 @@ def test_lid_both_classifies_only_parts_without_a_wire_label(tmp_path, monkeypat
     monkeypatch.setattr(lid, "classify", counting)
     run_read(tmp_path, "ingest", "--in", MINI, "--lid", "both")
     with open(MINI, "rb") as fh:
-        parts = [p for rec in ingest.parse_ndjson(fh.read().splitlines())
-                 for p in ingest.categorize(rec)]
-    unlabeled = [p for p in parts if lid.wire_label(p) == lid.UND]
+        parts = [(rec, part) for rec in ingest.parse_ndjson(fh.read().splitlines())
+                 for part in ingest.categorize(rec)]
+    unlabeled = [part for rec, part in parts if lid.wire_label(rec) == lid.UND]
     assert 0 < len(unlabeled) < len(parts)
     assert len(calls) == len(unlabeled)
 
@@ -327,9 +327,9 @@ def test_ingest_tallies_through_the_tally_namespace(tmp_path, monkeypatch):
         seen["parts"] += len(parts)
         return parts
 
-    def counting_accumulate(store, part, label):
+    def counting_accumulate(store, record, category, label):
         seen["accumulate"] += 1
-        return accumulate(store, part, label)
+        return accumulate(store, record, category, label)
 
     monkeypatch.setattr(tally, "parse_ndjson", counting_parse)
     monkeypatch.setattr(tally, "categorize", counting_categorize)
@@ -382,12 +382,13 @@ def test_labeler_matches_wire_label_per_part(tmp_path, source):
     model = lid.default_model()
     expected = tally.TallyStore()
     with open(stream, "rb") as fh:
-        parts = [p for r in ingest.parse_ndjson(fh) for p in ingest.categorize(r)]
-    for part in parts:
-        label = lid.wire_label(part)
-        if source == "both" and label == lid.UND:
-            label = lid.classify(model, sanitize(part.text)).language
-        tally.accumulate(expected, part, label)
+        records = list(ingest.parse_ndjson(fh))
+    for record in records:
+        for category, text in ingest.categorize(record):
+            label = lid.wire_label(record)
+            if source == "both" and label == lid.UND:
+                label = lid.classify(model, sanitize(text)).language
+            tally.accumulate(expected, record, category, label)
     buf = io.StringIO()
     tally.save_csv(expected, buf)
     assert out == buf.getvalue()
@@ -754,6 +755,23 @@ def test_eval_lid_bundled_model(capsys):
     assert sum(doc["bucket_counts"].values()) == doc["total"]
 
 
+def test_eval_lid_and_train_lid_read_labels_by_one_rule(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    english = "the house is big and the garden is green"
+    corpus.write_text("EN\t%s\nen\t%s\n" % (english, english), encoding="utf-8")
+    report = json.loads(run_stdout(capsys, "eval-lid", "--in", str(corpus)))
+    assert report["per_language"] == {"en": {"n": 2, "correct": 2, "accuracy": 1.0}}
+
+    corpus.write_text("en\t%s\nen!\t%s\n" % (english, english), encoding="utf-8")
+    errors = []
+    for command in ("eval-lid", "train-lid"):
+        out = tmp_path / command
+        assert run(command, "--in", str(corpus), "--out", str(out)) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors == ["error: invalid corpus language code: 'en!'\n"] * 2
+
+
 def test_train_lid_custom_ngram_range(tmp_path):
     out = tmp_path / "model.tsv"
     assert run("train-lid", "--in", TRAIN_TSV, "--n-min", "2", "--n-max", "2",
@@ -805,6 +823,35 @@ def test_exit_code_window_without_day_resolution(capsys):
     ]:
         assert run("metric", *argv, "--out", "/tmp/never.csv") == 1
         assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "flags", [("--language", "en"), ("--window", "3"), ("--resolution", "day"),
+              ("--resolution", "day", "--window", "3"), ("--resolution", "quarter")],
+    ids=" ".join,
+)
+def test_glm_input_rejects_flags_it_does_not_read(tmp_path, capsys, flags):
+    out = tmp_path / "glm.csv"
+    assert run("metric", "--metric", "glm-input", "--in", ANNUAL, *flags, "--out", str(out)) == 1
+    flag = "--window" if "--window" in flags else flags[0]
+    assert capsys.readouterr().err == "error: %s does not apply to --metric glm-input\n" % flag
+    assert not out.exists()
+    # --resolution year is the table's own resolution
+    plain = run_read(tmp_path, "metric", "--metric", "glm-input", "--in", ANNUAL)
+    assert run_read(tmp_path, "metric", "--metric", "glm-input", "--in", ANNUAL,
+                    "--resolution", "year") == plain
+
+
+@pytest.mark.parametrize("failing", ["--out", "--draws-out"])
+def test_forecast_failing_either_output_leaves_neither(tmp_path, capsys, failing):
+    paths = {"--out": tmp_path / "forecast.json", "--draws-out": tmp_path / "draws.csv"}
+    paths[failing] = tmp_path / "missing" / paths[failing].name
+    assert run("forecast", "--in", GLM_INPUT, "--language", "en", "--seed", "7",
+               "--chains", "1", "--warmup", "0", "--draws", "1000",
+               "--out", str(paths["--out"]), "--draws-out", str(paths["--draws-out"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no output and no .contagion-* temp file
 
 
 def test_exit_code_bad_shards(capsys):
@@ -932,6 +979,13 @@ def test_exit_code_no_arguments(capsys):
 
 
 # -- fixture provenance -----------------------------------------------------------
+
+
+def test_cli_surface_matches_golden():
+    # every subcommand's flags, dests, defaults, choices and raw help; a new
+    # or changed flag fails here until the golden is regenerated on purpose
+    golden = json.loads(CLI_SURFACE_GOLDEN.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(cli_surface())) == golden
 
 
 def test_glm_fixture_matches_generator():

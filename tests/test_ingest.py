@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from contagion import ingest
+from contagion import ingest, lid, tally
 from contagion.ingest import (
     OT,
     RT,
-    CategorizedMessage,
     MessageRecord,
     ParseStats,
     categorize,
@@ -179,31 +178,24 @@ def test_external_confidence_outside_unit_interval_is_nan():
 
 def test_categorize_reply_is_ot():
     msg = MessageRecord(id="1", ts=0, kind="reply", text="hi")
-    (part,) = categorize(msg)
-    assert part.category == OT and part.text == "hi" and part.id == "1"
+    assert categorize(msg) == [(OT, "hi")]
 
 
 def test_categorize_retweet_is_rt():
     msg = MessageRecord(id="1", ts=0, kind="retweet", text="hi")
-    (part,) = categorize(msg)
-    assert part.category == RT
+    assert categorize(msg) == [(RT, "hi")]
 
 
 def test_categorize_quote_splits_in_order():
     msg = MessageRecord(
         id="7", ts=60, kind="quote", text="agree!", quoted_text="original"
     )
-    comment, quoted = categorize(msg)
-    assert (comment.category, comment.text, comment.id) == (OT, "agree!", "7#c")
-    assert (quoted.category, quoted.text, quoted.id) == (RT, "original", "7#r")
-    assert comment.ts == quoted.ts == 60
+    assert categorize(msg) == [(OT, "agree!"), (RT, "original")]
 
 
 def test_quote_with_empty_comment_still_emits_ot_half():
     msg = MessageRecord(id="7", ts=0, kind="quote", text="", quoted_text="original")
-    comment, quoted = categorize(msg)
-    assert comment.category == OT and comment.text == ""
-    assert quoted.category == RT
+    assert categorize(msg) == [(OT, ""), (RT, "original")]
 
 
 def test_count_conservation():
@@ -233,22 +225,20 @@ def test_determinism_same_stream():
     assert s1.errors == s2.errors and s1.parsed == s2.parsed
 
 
-def test_categorized_message_day():
-    # 2019-06-01T23:59:59Z and one second later land on different UTC days
-    before = CategorizedMessage(id="a", ts=1559433599, kind="tweet", text="x", category=OT)
-    after = CategorizedMessage(id="b", ts=1559433600, kind="tweet", text="x", category=OT)
-    assert before.day() == dt.date(2019, 6, 1)
-    assert after.day() == dt.date(2019, 6, 2)
-
-
 def test_quote_halves_inherit_external_label():
-    msg = MessageRecord(
-        id="9", ts=0, kind="quote", text="c", quoted_text="q",
-        external_label="fi", external_confidence=0.8,
-    )
-    for part in categorize(msg):
-        assert part.external_label == "fi"
-        assert part.external_confidence == 0.8
+    # a part carries no label of its own: both halves are tallied under
+    # their record's wire label, on their record's day
+    line = json.dumps({"id": "9", "ts": 0, "kind": "quote", "text": "c", "quoted_text": "q",
+                       "lang": "fi", "lang_conf": 0.8})
+    seen = []
+
+    def label(record, text):
+        seen.append(text)
+        return lid.wire_label(record)
+
+    store = tally.ingest_tally([line], label)
+    assert seen == ["c", "q"]
+    assert store.entries == {"fi": {dt.date(1970, 1, 1): (1, 1)}}
 
 
 def test_fixture_stream_counts(mini_ndjson):
@@ -285,10 +275,10 @@ _MIDNIGHT_DAYS = hs.integers(ingest._TS_MIN // 86400 + 1, ingest._TS_MAX // 8640
 def test_day_is_the_utc_date_of_ts(ts):
     expected = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
     record = MessageRecord(id="1", ts=ts, kind="tweet", text="x")
-    part = CategorizedMessage(id="1", ts=ts, kind="tweet", text="x", category=OT)
     assert record.day() == expected
     hits = ingest._utc_date.cache_info().hits
-    assert part.day() == expected  # the same day number: served from the cache
+    twin = MessageRecord(id="2", ts=ts, kind="retweet", text="y")
+    assert twin.day() == expected  # the same day number: served from the cache
     assert ingest._utc_date.cache_info().hits == hits + 1
 
 
@@ -297,14 +287,10 @@ RECORD_FIELDS = {
         id="m1", ts=1559433599, kind="quote", text="agree", quoted_text="orig",
         external_label=" EN_us ", external_confidence=0.75,
     ),
-    CategorizedMessage: dict(
-        id="m1#c", ts=1559433599, kind="quote", text="agree", category=OT,
-        external_label=" EN_us ", external_confidence=0.75,
-    ),
 }
 # a value for each field that differs from both samples
 OTHER_VALUES = dict(
-    id="m2", ts=1559433600, kind="tweet", text="other", quoted_text=None, category=RT,
+    id="m2", ts=1559433600, kind="tweet", text="other", quoted_text=None,
     external_label=None, external_confidence=0.5,
 )
 # what the records printed when they were frozen dataclasses
@@ -313,14 +299,10 @@ RECORD_REPRS = {
         "MessageRecord(id='m1', ts=1559433599, kind='quote', text='agree', "
         "quoted_text='orig', external_label=' EN_us ', external_confidence=0.75)"
     ),
-    CategorizedMessage: (
-        "CategorizedMessage(id='m1#c', ts=1559433599, kind='quote', text='agree', "
-        "category='OT', external_label=' EN_us ', external_confidence=0.75)"
-    ),
 }
 
 
-@pytest.mark.parametrize("cls", [MessageRecord, CategorizedMessage])
+@pytest.mark.parametrize("cls", [MessageRecord])
 def test_record_equality_hash_immutability_and_repr(cls):
     fields = RECORD_FIELDS[cls]
     record, twin = cls(**fields), cls(**fields)
@@ -336,9 +318,5 @@ def test_record_equality_hash_immutability_and_repr(cls):
 def test_record_defaults_repr():
     assert repr(MessageRecord(id="1", ts=0, kind="tweet", text="hi")) == (
         "MessageRecord(id='1', ts=0, kind='tweet', text='hi', quoted_text=None, "
-        "external_label=None, external_confidence=None)"
-    )
-    assert repr(CategorizedMessage(id="1", ts=0, kind="tweet", text="hi", category=OT)) == (
-        "CategorizedMessage(id='1', ts=0, kind='tweet', text='hi', category='OT', "
         "external_label=None, external_confidence=None)"
     )

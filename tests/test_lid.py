@@ -433,3 +433,23 @@ def test_default_model_heldout_accuracy():
     assert report["accuracy"] >= 0.95
     assert report["total"] == sum(s["n"] for s in report["per_language"].values())
     assert set(report["bucket_counts"]) == set(lid.BUCKETS)
+
+
+def test_evaluate_reads_corpus_labels_by_the_training_rule():
+    # train and evaluate share one label rule: stripped, lowercased, and
+    # anything that is then no valid code is the same ValueError in both
+    model = lid.train(DISJOINT)
+    report = lid.evaluate(model, [("AA", "ababab baba"), (" aa ", "abab"), ("bb", "cdcddc dcdc")])
+    assert report["per_language"] == {
+        "aa": {"n": 2, "correct": 2, "accuracy": 1.0},
+        "bb": {"n": 1, "correct": 1, "accuracy": 1.0},
+    }
+    for bad in ("a!", "", " ", "x" * 8, "e_n"):
+        corpus = [(bad, "abab"), ("bb", "cdcd")]
+        with pytest.raises(ValueError) as trained:
+            lid.count_grams(corpus)
+        with pytest.raises(ValueError) as evaluated:
+            lid.evaluate(model, corpus)
+        assert str(trained.value) == str(evaluated.value) == (
+            "invalid corpus language code: %r" % bad.strip().lower()
+        )

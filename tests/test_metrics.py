@@ -32,9 +32,8 @@ def _store(cells):
 
 
 def test_rates():
-    point = metrics.rates(3, 1)
-    assert (point.p_ot, point.p_rt) == (0.75, 0.25)
-    assert metrics.rates(0, 5) == metrics.RatePoint(0.0, 1.0)
+    assert metrics.rates(3, 1) == (0.75, 0.25)
+    assert metrics.rates(0, 5) == (0.0, 1.0)
     assert metrics.rates(0, 0) is None
 
 
@@ -46,7 +45,8 @@ def test_rates_normalization_property():
         if point is None:
             assert f_ot + f_rt == 0
         else:
-            assert abs(point.p_ot + point.p_rt - 1.0) <= 1e-12
+            p_ot, p_rt = point
+            assert abs(p_ot + p_rt - 1.0) <= 1e-12
 
 
 def test_contagion_ratio():
@@ -72,6 +72,22 @@ def test_gain_ratio_monotone_in_rt():
         g, r = metrics.gain(50, f_rt), metrics.contagion_ratio(50, f_rt)
         assert g > prev_gain and r > prev_ratio
         prev_gain, prev_ratio = g, r
+
+
+# counts up to 2**53, zeros and small values likely
+_COUNT = hs.one_of(hs.just(0), hs.integers(0, 9), hs.integers(0, 2**53))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cells=hs.lists(hs.tuples(_COUNT, _COUNT), max_size=20))
+def test_defined_daily_is_the_per_cell_table_bit_for_bit(cells):
+    # the mean_of_daily reducer's written-out loops against the one
+    # per-cell definition of each metric: same values, same order, same bits
+    assert metrics._DEFINED_DAILY.keys() == metrics.PER_CELL.keys()
+    for metric in metrics.METRICS:
+        values = (metrics.PER_CELL[metric](f_ot, f_rt) for f_ot, f_rt in cells)
+        expected = [v.hex() for v in values if v is not None]
+        assert [v.hex() for v in metrics._DEFINED_DAILY[metric](cells)] == expected, metric
 
 
 # -- bucketed aggregation ----------------------------------------------------
@@ -233,11 +249,12 @@ def test_annual_glm_table_drops_undefined_years():
 
 
 def _reference_aggregate_metric(store, language, resolution, metric, method):
+    per_cell = metrics.PER_CELL[metric]
     cells = store.daily_counts(language)
     if not cells:
         return tally.BucketedSeries(resolution, ())
     if method == "mean_of_daily":
-        daily = [(c.date, metrics._daily_metric(c.f_ot, c.f_rt, metric)) for c in cells]
+        daily = [(c.date, per_cell(c.f_ot, c.f_rt)) for c in cells]
         return reference_rebucket(daily, resolution, "mean")
     # exact integer sums per bucket; reference_rebucket walks the buckets
     sums = {}
@@ -247,7 +264,7 @@ def _reference_aggregate_metric(store, language, resolution, metric, method):
         bucket[1] += c.f_rt
     walk = reference_rebucket([(c.date, None) for c in cells], resolution, "sum")
     points = tuple(
-        (start, metrics._daily_metric(*sums[start], metric) if start in sums else None)
+        (start, per_cell(*sums[start]) if start in sums else None)
         for start, _ in walk.points
     )
     return tally.BucketedSeries(resolution, points)

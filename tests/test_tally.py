@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from contagion import tally
-from contagion.ingest import OT, RT, CategorizedMessage
+from contagion.ingest import OT, RT, MessageRecord
 from contagion.tally import TallyStore
 
 from conftest import reference_rebucket, reference_rolling_mean, tally_stores
@@ -17,8 +17,8 @@ from conftest import reference_rebucket, reference_rolling_mean, tally_stores
 D = dt.date
 
 
-def _msg(ts: int, category: str, ident: str = "m") -> CategorizedMessage:
-    return CategorizedMessage(id=ident, ts=ts, kind="tweet", text="x", category=category)
+def _msg(ts: int, kind: str = "tweet") -> MessageRecord:
+    return MessageRecord(id="m", ts=ts, kind=kind, text="x")
 
 
 def _random_store(rnd: random.Random) -> TallyStore:
@@ -42,21 +42,21 @@ _STORES = tally_stores(hs.one_of(hs.dates(D(2019, 1, 1), D(2019, 1, 5)), hs.date
 
 def test_accumulate_ot():
     store = TallyStore()
-    tally.accumulate(store, _msg(1559347200, OT), "en")  # 2019-06-01 UTC
+    tally.accumulate(store, _msg(1559347200), OT, "en")  # 2019-06-01 UTC
     assert store.get(D(2019, 6, 1), "en") == (1, 0)
 
 
 def test_accumulate_rt_twice():
     store = TallyStore()
     for _ in range(2):
-        tally.accumulate(store, _msg(1559347200, RT), "th")
+        tally.accumulate(store, _msg(1559347200, "retweet"), RT, "th")
     assert store.get(D(2019, 6, 1), "th") == (0, 2)
 
 
 def test_accumulate_utc_midnight_straddle():
     store = TallyStore()
-    tally.accumulate(store, _msg(1559433599, OT), "en")
-    tally.accumulate(store, _msg(1559433600, OT), "en")
+    tally.accumulate(store, _msg(1559433599), OT, "en")
+    tally.accumulate(store, _msg(1559433600), OT, "en")
     assert store.get(D(2019, 6, 1), "en") == (1, 0)
     assert store.get(D(2019, 6, 2), "en") == (1, 0)
 
@@ -107,7 +107,7 @@ def test_merge_sums_cells_and_errors():
 def test_conservation_on_fixture(mini_ndjson):
     with open(mini_ndjson, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
-    store = tally.ingest_tally(lines, lambda part: "xx")
+    store = tally.ingest_tally(lines, lambda record, text: "xx")
     tallied = sum(f_ot + f_rt for _, _, f_ot, f_rt in store.rows())
     assert tallied == 26
     assert store.error_total == 5

@@ -173,6 +173,8 @@ def cmd_metric(args: argparse.Namespace) -> None:
         if args.resolution != "day":
             raise CliError("--window requires --resolution day")
     store = _load_store(args)
+    if args.language and args.language not in store.entries:
+        raise CliError("no rows for language %r" % args.language)
 
     # csv.writer writes a float as its repr and None as an empty field
     if args.metric == "glm-input":
@@ -231,31 +233,37 @@ def _read_glm_rows(path: str) -> List[tuple]:
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != GLM_INPUT_HEADER:
-            raise CliError("expected header %s" % ",".join(GLM_INPUT_HEADER))
-        # errors name reader.line_num, the physical line: a quoted field may span lines
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CliError("line %d: expected 4 fields" % reader.line_num)
-            try:
-                year, log10_n, ratio = int(row[0]), float(row[2]), float(row[3])
-            except ValueError:
-                raise CliError("line %d: bad numeric field" % reader.line_num) from None
-            if not (math.isfinite(log10_n) and math.isfinite(ratio)):
-                raise CliError("line %d: non-finite numeric field" % reader.line_num)
-            if abs(log10_n) > MAX_ABS_LOG10_N:
-                raise CliError(
-                    "line %d: log10_n %r outside [-%g, %g]"
-                    % (reader.line_num, log10_n, MAX_ABS_LOG10_N, MAX_ABS_LOG10_N)
-                )
-            rows.append((year, row[1], log10_n, ratio))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != GLM_INPUT_HEADER:
+                raise CliError("expected header %s" % ",".join(GLM_INPUT_HEADER))
+            # errors name reader.line_num, the physical line: a quoted field may span lines
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise CliError("line %d: expected 4 fields" % reader.line_num)
+                try:
+                    year, log10_n, ratio = int(row[0]), float(row[2]), float(row[3])
+                except ValueError:
+                    raise CliError("line %d: bad numeric field" % reader.line_num) from None
+                if not (math.isfinite(log10_n) and math.isfinite(ratio)):
+                    raise CliError("line %d: non-finite numeric field" % reader.line_num)
+                if abs(log10_n) > MAX_ABS_LOG10_N:
+                    raise CliError(
+                        "line %d: log10_n %r outside [-%g, %g]"
+                        % (reader.line_num, log10_n, MAX_ABS_LOG10_N, MAX_ABS_LOG10_N)
+                    )
+                rows.append((year, row[1], log10_n, ratio))
+        except csv.Error as exc:  # e.g. a field past csv's size limit
+            raise CliError("line %d: %s" % (reader.line_num, exc)) from None
     return rows
 
 
 def cmd_forecast(args: argparse.Namespace) -> None:
+    # one would overwrite the other: reject the pair before any work
+    if args.draws_out and os.path.realpath(args.draws_out) == os.path.realpath(args.output):
+        raise CliError("--draws-out and --out name the same file")
     from . import forecast as forecast_mod  # numpy loads here, not at start-up
 
     rows = _read_glm_rows(args.input)

@@ -23,7 +23,6 @@ import datetime as dt
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from operator import attrgetter, ge, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence, TextIO, Tuple, Union
@@ -199,8 +198,6 @@ def save_csv(store: TallyStore, fh: TextIO) -> None:
     writer.writerows(store.rows())  # str(date) is its ISO form
 
 
-# bounded: a hostile file can hold any number of distinct count strings
-@lru_cache(maxsize=1 << 12)
 def _count(field: str) -> int:
     """The count in a tally field written as save_csv writes it, ``str(n)``.
 
@@ -213,44 +210,78 @@ def _count(field: str) -> int:
     return n
 
 
-def load_csv(fh: TextIO) -> TallyStore:
-    """Inverse of save_csv.  Raises ValueError on a malformed file."""
-    reader = csv.reader(fh)
+# bounded: a hostile file can hold any number of distinct count strings
+_COUNT_MEMO_SIZE = 1 << 12
+
+
+def _checked(
+    row: list[str], line: int, dates: dict[str, dt.date], counts: dict[str, int]
+) -> Tuple[dt.date, int, int]:
+    """Every check on one tally row, in order, memoising the fields that pass.
+
+    Field count, date form, f_ot form, f_rt form, then the range, where a
+    negative count wins over one above 2**53.  A failure raises ValueError
+    naming `line`.
+    """
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty tally file") from None
-    if tuple(header) != CSV_HEADER:
-        raise ValueError("bad tally header: %r" % (header,))
+        if len(row) != 4:
+            raise ValueError("expected 4 fields, got %d" % len(row))
+        day, _, ot, rt = row
+        date = dates.get(day)
+        if date is None:
+            date = dt.date.fromisoformat(day)
+            if date.isoformat() != day:  # save_csv writes YYYY-MM-DD only
+                raise ValueError("date %r is not in YYYY-MM-DD form" % day)
+            dates[day] = date
+        f_ot, f_rt = _count(ot), _count(rt)
+        if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):
+            raise ValueError("negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53")
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (line, exc)) from None
+    if len(counts) <= _COUNT_MEMO_SIZE - 2:  # room for both texts
+        counts[ot] = f_ot
+        counts[rt] = f_rt
+    return date, f_ot, f_rt
+
+
+def load_csv(fh: TextIO) -> TallyStore:
+    """Inverse of save_csv.  Raises ValueError on a malformed file.
+
+    Each distinct field text is checked once per call: the date and count
+    memos map a field that passed every check to its value, so a row whose
+    fields have all been seen goes straight to its cell, written in place.
+    The count memo holds at most 4,096 texts; past that, new counts are
+    checked on every row.  Errors name reader.line_num, the physical line,
+    since a quoted field may span lines.
+    """
+    reader = csv.reader(fh)
     store = TallyStore()
     entries = store.entries  # written in place: add_counts per row costs a call
     dates: dict[str, dt.date] = {}  # every language repeats each day's string
-    # errors name reader.line_num, the physical line: a quoted field may span lines
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValueError("line %d: expected 4 fields, got %d" % (reader.line_num, len(row)))
-        day, language, ot, rt = row
-        try:
-            date = dates.get(day)
-            if date is None:
-                date = dt.date.fromisoformat(day)
-                if date.isoformat() != day:  # save_csv writes YYYY-MM-DD only
-                    raise ValueError("date %r is not in YYYY-MM-DD form" % day)
-                dates[day] = date
-            f_ot, f_rt = _count(ot), _count(rt)
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
-        if not (0 <= f_ot <= MAX_COUNT and 0 <= f_rt <= MAX_COUNT):
-            problem = "negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53"
-            raise ValueError("line %d: %s" % (reader.line_num, problem))
-        if f_ot or f_rt:  # as add_counts: a (0, 0) row stores nothing
-            days = entries.get(language)
-            if days is None:
-                days = entries[language] = {}
-            cell = days.get(date)
-            days[date] = (f_ot, f_rt) if cell is None else (cell[0] + f_ot, cell[1] + f_rt)
+    counts: dict[str, int] = {}  # small counts repeat across languages and days
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty tally file")
+        if tuple(header) != CSV_HEADER:
+            raise ValueError("bad tally header: %r" % (header,))
+        for row in reader:
+            if len(row) != 4:
+                if row:  # a blank line is skipped
+                    _checked(row, reader.line_num, dates, counts)  # raises
+                continue
+            day, language, ot, rt = row
+            date, f_ot, f_rt = dates.get(day), counts.get(ot), counts.get(rt)
+            if date is None or f_ot is None or f_rt is None:
+                date, f_ot, f_rt = _checked(row, reader.line_num, dates, counts)
+            if f_ot or f_rt:  # as add_counts: a (0, 0) row stores nothing
+                days = entries.get(language)
+                if days is None:
+                    days = entries[language] = {}
+                cell = days.get(date)
+                days[date] = (f_ot, f_rt) if cell is None else (cell[0] + f_ot, cell[1] + f_rt)
+    except csv.Error as exc:
+        raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
     return store
 
 

@@ -2,10 +2,13 @@
 the one-density-per-function references and closed forms those tests
 check the sampler against, arbitrary tally stores, the dict-based
 rebucket and rolling mean the calendar tests check against, the
+row-by-row tally loader load_csv is checked against, the
 slice-per-position gram count and stacked scorer the classifier is
 checked against, and the CLI surface the help-text golden pins."""
 
+import csv
 import datetime as dt
+import functools
 import math
 import pathlib
 from collections import Counter
@@ -274,6 +277,58 @@ def reference_rolling_mean(series, window_days: int):
         ]
         out.append((day, math.fsum(window) / len(window) if window else None))
     return tuple(out)
+
+
+# -- the row-by-row tally loader ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _reference_count(field: str) -> int:
+    n = int(field)
+    if str(n) != field:
+        raise ValueError("count %r is not in the form save_csv writes" % field)
+    return n
+
+
+def reference_load_csv(fh) -> tally.TallyStore:
+    """load_csv as it was before its per-call field memo: every row runs the
+    whole check chain, the counts through a bounded module-level cache."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty tally file") from None
+    if tuple(header) != tally.CSV_HEADER:
+        raise ValueError("bad tally header: %r" % (header,))
+    store = tally.TallyStore()
+    entries = store.entries
+    dates: dict = {}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError("line %d: expected 4 fields, got %d" % (reader.line_num, len(row)))
+        day, language, ot, rt = row
+        try:
+            date = dates.get(day)
+            if date is None:
+                date = dt.date.fromisoformat(day)
+                if date.isoformat() != day:
+                    raise ValueError("date %r is not in YYYY-MM-DD form" % day)
+                dates[day] = date
+            f_ot, f_rt = _reference_count(ot), _reference_count(rt)
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
+        if not (0 <= f_ot <= tally.MAX_COUNT and 0 <= f_rt <= tally.MAX_COUNT):
+            problem = "negative count" if f_ot < 0 or f_rt < 0 else "count above 2**53"
+            raise ValueError("line %d: %s" % (reader.line_num, problem))
+        if f_ot or f_rt:
+            days = entries.get(language)
+            if days is None:
+                days = entries[language] = {}
+            cell = days.get(date)
+            days[date] = (f_ot, f_rt) if cell is None else (cell[0] + f_ot, cell[1] + f_rt)
+    return store
 
 
 # -- language identification references ------------------------------------------

@@ -942,6 +942,48 @@ def test_glm_reader_errors_name_the_physical_line_after_a_multiline_field(tmp_pa
     assert capsys.readouterr().err == "error: line 4: bad numeric field\n"
 
 
+# csv.reader refuses a field past its limit (131072 characters) with csv.Error
+_HUGE_FIELD = "x" * 200_000
+
+
+def test_metric_field_past_the_csv_limit_exits_1_with_one_line(tmp_path, capsys):
+    src = tmp_path / "tally.csv"
+    src.write_text("date,language,f_ot,f_rt\n2019-01-01,en,1,0\n2019-01-02,%s,1,0\n"
+                   % _HUGE_FIELD)
+    out = tmp_path / "ratio.csv"
+    assert run("metric", "--in", str(src), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: line 3: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+def test_forecast_field_past_the_csv_limit_exits_1_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("year,language,log10_n,ratio\n2019,en,5.0,0.5\n2020,%s,5.0,0.5\n"
+                   % _HUGE_FIELD)
+    out = tmp_path / "f.json"
+    assert run("forecast", "--in", str(bad), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: line 3: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+def test_forecast_rejects_draws_out_naming_the_out_file(tmp_path, capsys):
+    # checked before the input is read: the input here does not exist
+    out = tmp_path / "f.json"
+    for draws_out in (out, tmp_path / "sub" / ".." / "f.json"):
+        assert run("forecast", "--in", "/nonexistent/glm.csv", "--out", str(out),
+                   "--draws-out", str(draws_out)) == 1
+        assert capsys.readouterr().err == "error: --draws-out and --out name the same file\n"
+    assert not out.exists()
+
+
+def test_metric_unknown_language_fails(tmp_path, capsys):
+    out = tmp_path / "zz.csv"
+    for extra in ((), ("--resolution", "day", "--window", "3")):
+        assert run("metric", "--in", ANNUAL, "--language", "zz", "--out", str(out), *extra) == 1
+        assert capsys.readouterr().err == "error: no rows for language 'zz'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("log10_n", ["1e160", "1e200", "-400.5", "401"])
 def test_forecast_rejects_log10_n_no_count_can_have(tmp_path, log10_n):
     # squared in the likelihood, 1e160 overflowed: a RuntimeWarning on

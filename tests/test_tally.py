@@ -1,5 +1,6 @@
 """Tally store, merge monoid, CSV interchange, and calendar bucketing tests."""
 
+import csv
 import datetime as dt
 import io
 import random
@@ -12,7 +13,12 @@ from contagion import tally
 from contagion.ingest import OT, RT, MessageRecord
 from contagion.tally import TallyStore
 
-from conftest import reference_rebucket, reference_rolling_mean, tally_stores
+from conftest import (
+    reference_load_csv,
+    reference_rebucket,
+    reference_rolling_mean,
+    tally_stores,
+)
 
 D = dt.date
 
@@ -242,6 +248,66 @@ def test_load_csv_same_day_cells_are_independent():
     assert store.get(D(2019, 1, 1), "th") == (0, 2)
     store.add(D(2019, 1, 1), "th", OT, 7)
     assert store.get(D(2019, 1, 1), "en") == (1, 5)
+
+
+def _load_either(load, text):
+    """The loaded cells in their exact order (languages, then each language's
+    days), or the message load_csv raised."""
+    try:
+        store = load(io.StringIO(text, newline=""))
+    except ValueError as exc:
+        return str(exc)
+    return [(lang, list(days.items())) for lang, days in store.entries.items()]
+
+
+def _mostly(valid, rejected):
+    """`valid` about 19 times in 20: a file of a dozen rows then loads
+    whole about half the time and otherwise fails on one of `rejected`."""
+    return hs.sampled_from([valid] * 19 + [rejected]).flatmap(lambda strategy: strategy)
+
+
+# every form the README lists as rejected, among valid fields
+_DAYS = _mostly(
+    hs.sampled_from(["2019-01-01", "2019-01-02", "2020-02-29"]),
+    hs.sampled_from(["20190101", "2019-W01-1", "2019-13-01", "x"]),
+)
+_COUNT_TEXTS = _mostly(
+    hs.one_of(hs.integers(0, 40).map(str), hs.just(str(2**53))),
+    hs.sampled_from(
+        ["1_000", " 1", "+4", "01", "-0", "\u0663", "\uff11", "-1", "-7", str(2**53 + 1),
+         "1" + "0" * 30, "x", ""]
+    ),
+)
+_LANGUAGES = hs.sampled_from(["en", "th", "a\nb", "a,b", 'q"t', ""])
+_ROWS = _mostly(
+    hs.tuples(_DAYS, _LANGUAGES, _COUNT_TEXTS, _COUNT_TEXTS).map(list),
+    hs.one_of(
+        hs.just([]),  # a blank line
+        hs.tuples(_DAYS, _LANGUAGES, _COUNT_TEXTS).map(list),
+        hs.tuples(_DAYS, _LANGUAGES, _COUNT_TEXTS, _COUNT_TEXTS, _COUNT_TEXTS).map(list),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hs.lists(_ROWS, max_size=12))
+def test_load_csv_matches_the_row_by_row_reference(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(tally.CSV_HEADER)
+    writer.writerows(rows)
+    text = buf.getvalue()
+    assert _load_either(tally.load_csv, text) == _load_either(reference_load_csv, text)
+
+
+@pytest.mark.parametrize("last", ["2019-01-03,en,1,2", "2019-01-03,en,1,-2", "2019-01-03,en,01,2"])
+def test_load_csv_past_the_count_memo_bound_matches_the_reference(last):
+    # 6,000 distinct counts overflow the 4,096-entry memo; early and late
+    # counts then repeat, and the last row is valid or fails a check
+    distinct = ["2019-01-01,l%d,%d,%d" % (i, 10**6 + 2 * i, 10**6 + 2 * i + 1) for i in range(3000)]
+    repeats = ["2019-01-02,l%d,%d,%d" % (i, 10**6 + 2 * i, 10**6 + 5999 - 2 * i) for i in range(3000)]
+    text = "\n".join(["date,language,f_ot,f_rt"] + distinct + repeats + [last]) + "\n"
+    assert _load_either(tally.load_csv, text) == _load_either(reference_load_csv, text)
 
 
 # -- calendar bucketing ------------------------------------------------------
